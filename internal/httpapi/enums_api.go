@@ -9,7 +9,6 @@
 package httpapi
 
 import (
-	"encoding/base64"
 	"net/http"
 
 	"cdas/api"
@@ -171,28 +170,11 @@ func (s *Server) v1ListEnums(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := api.EnumList{Enumerations: []api.EnumStatus{}}
-	after := p.afterName
-	for len(out.Enumerations) < p.limit {
-		page, more := ctl.StatusesPage(after, p.limit, jobs.State(p.state), p.tenant)
-		for _, st := range page {
-			if !isEnum(st) {
-				continue
-			}
-			out.Enumerations = append(out.Enumerations, s.enumStatus(st))
-			if len(out.Enumerations) == p.limit {
-				break
-			}
-		}
-		if !more || len(page) == 0 {
-			break
-		}
-		if len(out.Enumerations) == p.limit {
-			out.NextPageToken = base64.RawURLEncoding.EncodeToString(
-				[]byte(out.Enumerations[len(out.Enumerations)-1].Name))
-			break
-		}
-		after = page[len(page)-1].Job.Name
+	kept, next := sievePage(ctl, p, isEnum)
+	for _, st := range kept {
+		out.Enumerations = append(out.Enumerations, s.enumStatus(st))
 	}
+	out.NextPageToken = next
 	writeJSON(w, out)
 }
 

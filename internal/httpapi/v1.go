@@ -277,33 +277,43 @@ func (s *Server) v1ListJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, out)
 		return
 	}
-	// The kind filter has no secondary index; keep paging the indexed
-	// range and sieve until the page fills. The token stays "last name
-	// returned", so it composes with insertions and the other filters
-	// exactly like the unfiltered path.
+	// The kind filter has no secondary index: sieve the indexed range.
+	kept, next := sievePage(ctl, p, func(st jobs.Status) bool { return kindMatches(p.kind, st.Job.Kind) })
+	for _, st := range kept {
+		out.Jobs = append(out.Jobs, s.jobStatus(st))
+	}
+	out.NextPageToken = next
+	writeJSON(w, out)
+}
+
+// sievePage fills one page of a listing whose filter has no secondary
+// index: it keeps paging the indexed range in chunks of the page size
+// and keeps the records keep accepts, until the page is full or the
+// range ends. next is the page token to continue with — the last name
+// kept, so it composes with insertions and the indexed filters exactly
+// like the unfiltered path — and is set whenever records of the range
+// were not examined, including the rest of the final chunk.
+func sievePage(ctl JobController, p listJobsParams, keep func(jobs.Status) bool) (kept []jobs.Status, next string) {
 	after := p.afterName
-	for len(out.Jobs) < p.limit {
-		page, more := ctl.StatusesPage(after, p.limit, jobs.State(p.state), p.tenant)
-		for _, st := range page {
-			if !kindMatches(p.kind, st.Job.Kind) {
+	for {
+		chunk, more := ctl.StatusesPage(after, p.limit, jobs.State(p.state), p.tenant)
+		for i, st := range chunk {
+			if !keep(st) {
 				continue
 			}
-			out.Jobs = append(out.Jobs, s.jobStatus(st))
-			if len(out.Jobs) == p.limit {
-				break
+			kept = append(kept, st)
+			if len(kept) == p.limit {
+				if more || i < len(chunk)-1 {
+					next = base64.RawURLEncoding.EncodeToString([]byte(st.Job.Name))
+				}
+				return kept, next
 			}
 		}
-		if !more || len(page) == 0 {
-			break
+		if !more || len(chunk) == 0 {
+			return kept, ""
 		}
-		if len(out.Jobs) == p.limit {
-			out.NextPageToken = base64.RawURLEncoding.EncodeToString(
-				[]byte(out.Jobs[len(out.Jobs)-1].Name))
-			break
-		}
-		after = page[len(page)-1].Job.Name
+		after = chunk[len(chunk)-1].Job.Name
 	}
-	writeJSON(w, out)
 }
 
 func (s *Server) v1GetJob(w http.ResponseWriter, r *http.Request) {

@@ -206,6 +206,108 @@ func TestV1PaginationWalk(t *testing.T) {
 	}
 }
 
+// TestV1KindFilteredPaginationWalk walks GET /v1/jobs?kind=… (and the
+// /v1/enumerations listing, which sieves the same way) to the end for a
+// table of page sizes and kind mixes, and compares the walk with a brute
+// force filter of the whole set. The kind filter has no index, so a page
+// is sieved out of index chunks of the page size; the cases put the
+// point where a page fills before, on and after a chunk boundary, and in
+// particular inside the final chunk — where the rest of that chunk used
+// to be dropped for want of a next_page_token.
+func TestV1KindFilteredPaginationWalk(t *testing.T) {
+	mixes := map[string]func(i int) jobs.Kind{
+		"all tsa":     func(int) jobs.Kind { return jobs.KindTSA },
+		"no tsa":      func(int) jobs.Kind { return jobs.KindEnumeration },
+		"every other": func(i int) jobs.Kind { return []jobs.Kind{jobs.KindTSA, jobs.KindContinuous}[i%2] },
+		"8 tsa : 1 : 1": func(i int) jobs.Kind {
+			return []jobs.Kind{jobs.KindTSA, jobs.KindTSA, jobs.KindTSA, jobs.KindTSA, jobs.KindContinuous, jobs.KindTSA, jobs.KindTSA, jobs.KindEnumeration, jobs.KindTSA, jobs.KindTSA}[i%10]
+		},
+		"tsa at the end": func(i int) jobs.Kind {
+			return map[bool]jobs.Kind{true: jobs.KindTSA, false: jobs.KindImageTag}[i >= 17]
+		},
+		"tsa at the start": func(i int) jobs.Kind {
+			return map[bool]jobs.Kind{true: jobs.KindTSA, false: jobs.KindEnumeration}[i < 5]
+		},
+	}
+	walk := func(t *testing.T, ts *httptest.Server, path string, limit int, names func(body io.Reader) ([]string, string)) []string {
+		var got []string
+		token := ""
+		for pages := 0; ; pages++ {
+			if pages > 64 {
+				t.Fatal("pagination never terminated")
+			}
+			url := fmt.Sprintf("%s%slimit=%d", ts.URL, path, limit)
+			if token != "" {
+				url += "&page_token=" + token
+			}
+			resp, err := ts.Client().Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page, next := names(resp.Body)
+			resp.Body.Close()
+			if len(page) > limit {
+				t.Fatalf("page of %d exceeds limit %d", len(page), limit)
+			}
+			got = append(got, page...)
+			if token = next; token == "" {
+				return got
+			}
+		}
+	}
+	for mix, kindOf := range mixes {
+		for _, total := range []int{0, 1, 20, 23} {
+			var sts []jobs.Status
+			want := map[string][]string{}
+			for i := 0; i < total; i++ {
+				st := jobs.Status{Job: jobs.Job{Name: fmt.Sprintf("job-%02d", i), Kind: kindOf(i)}, State: jobs.StatePending}
+				sts = append(sts, st)
+				for _, filter := range []string{api.KindTSA, api.KindBatch, api.KindEnumeration} {
+					if kindMatches(filter, st.Job.Kind) {
+						want[filter] = append(want[filter], st.Job.Name)
+					}
+				}
+			}
+			s := NewServer()
+			s.SetJobs(&goldenController{statuses: sts})
+			ts := httptest.NewServer(s.Handler())
+			for _, limit := range []int{1, 2, 3, 5, 7, 20, 50} {
+				for _, filter := range []string{api.KindTSA, api.KindBatch, api.KindEnumeration} {
+					got := walk(t, ts, "/v1/jobs?kind="+filter+"&", limit, func(body io.Reader) ([]string, string) {
+						var page api.JobList
+						if err := json.NewDecoder(body).Decode(&page); err != nil {
+							t.Fatal(err)
+						}
+						var names []string
+						for _, st := range page.Jobs {
+							names = append(names, st.Name)
+						}
+						return names, page.NextPageToken
+					})
+					if fmt.Sprint(got) != fmt.Sprint(want[filter]) {
+						t.Errorf("%s, %d jobs, kind=%s, limit %d:\nwalked %v\nwant   %v", mix, total, filter, limit, got, want[filter])
+					}
+				}
+				got := walk(t, ts, "/v1/enumerations?", limit, func(body io.Reader) ([]string, string) {
+					var page api.EnumList
+					if err := json.NewDecoder(body).Decode(&page); err != nil {
+						t.Fatal(err)
+					}
+					var names []string
+					for _, st := range page.Enumerations {
+						names = append(names, st.Name)
+					}
+					return names, page.NextPageToken
+				})
+				if fmt.Sprint(got) != fmt.Sprint(want[api.KindEnumeration]) {
+					t.Errorf("%s, %d jobs, /v1/enumerations, limit %d:\nwalked %v\nwant   %v", mix, total, limit, got, want[api.KindEnumeration])
+				}
+			}
+			ts.Close()
+		}
+	}
+}
+
 // TestV1UnparkCustomMethod drives the real parked→pending→done loop
 // through POST /v1/jobs/{name}:unpark.
 func TestV1UnparkCustomMethod(t *testing.T) {

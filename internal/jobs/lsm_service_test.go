@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -222,27 +223,32 @@ func genSvcOps(seed int64, n int) []svcOp {
 
 // applySvcOp plays one op; errors are expected for invalid transitions
 // and are identical on both sides of the equivalence check.
-func applySvcOp(s *Service, op svcOp) {
+func applySvcOp(s *Service, op svcOp) error {
 	switch op.kind {
 	case "submit":
-		s.Submit(tenantJob(op.name, op.tenant, op.prio))
+		_, err := s.Submit(tenantJob(op.name, op.tenant, op.prio))
+		return err
 	case "claim":
-		s.Claim()
+		if _, ok := s.Claim(); !ok {
+			return errNothingPending
+		}
 	case "complete":
-		s.Complete(op.name, op.amount)
+		return s.Complete(op.name, op.amount)
 	case "fail":
-		s.Fail(op.name, errors.New("induced failure"), op.amount)
+		_, err := s.Fail(op.name, errors.New("induced failure"), op.amount)
+		return err
 	case "cancel":
-		s.Cancel(op.name)
+		return s.Cancel(op.name)
 	case "park":
-		s.Park(op.name)
+		return s.Park(op.name)
 	case "unpark":
-		s.Unpark(op.name)
+		return s.Unpark(op.name)
 	case "charge":
-		s.ChargeBudget(op.name, op.amount)
+		return s.ChargeBudget(op.name, op.amount)
 	case "progress":
-		s.Progress(op.name, op.amount, op.amount)
+		return s.Progress(op.name, op.amount, op.amount)
 	}
+	return nil
 }
 
 // normStatus is the comparable projection of a Status: everything the
@@ -260,9 +266,11 @@ type normStatus struct {
 // normalize projects a service's state for equivalence comparison,
 // folding the requeue-on-recovery rule in: a Running job surviving a
 // crash is exactly a Pending job with progress reset.
-func normalize(s *Service) map[string]normStatus {
+func normalize(s *Service) map[string]normStatus { return normalizeAll(s.Statuses()) }
+
+func normalizeAll(statuses []Status) map[string]normStatus {
 	out := make(map[string]normStatus)
-	for _, st := range s.Statuses() {
+	for _, st := range statuses {
 		n := normStatus{Job: st.Job, State: st.State, Attempts: st.Attempts, Progress: st.Progress, Cost: st.Cost, Error: st.Error}
 		if n.State == StateRunning {
 			n.State = StatePending
@@ -367,9 +375,11 @@ func TestServiceCrashEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d n %d: open: %v", seed, n, err)
 				}
-				crashedAt := -1
+				crashedAt, waited := -1, 0
 				for i, op := range ops {
-					applySvcOp(s, op)
+					if applySvcOp(s, op) == nil && op.kind != "progress" {
+						waited = i + 1 // durable, and so is everything before it
+					}
 					s.Quiesce()
 					if fired, _ := crash.state(); fired {
 						crashedAt = i
@@ -391,11 +401,22 @@ func TestServiceCrashEquivalence(t *testing.T) {
 				gotBudget := r.Budget()
 				r.Close()
 
-				beforeState, beforeBudget := modelAt(t, ops[:crashedAt])
-				afterState, afterBudget := modelAt(t, ops[:crashedAt+1])
-				stateOK := reflect.DeepEqual(got, beforeState) || reflect.DeepEqual(got, afterState)
-				budgetOK := reflect.DeepEqual(gotBudget, beforeBudget) || reflect.DeepEqual(gotBudget, afterBudget)
-				if !stateOK || !budgetOK {
+				// The recovered state must equal the model before or after
+				// the in-flight op. Progress records are advisory — staged
+				// in order but not waited for — so the ones reported since
+				// the last op that waited for its commit may still have
+				// been staged when the crash hit: the model may also stand
+				// anywhere back to that op, never further. Close, unlike a
+				// crash, never loses one (TestProgressSurvivesClose).
+				lo := waited
+				matched := false
+				for k := lo; k <= crashedAt+1 && !matched; k++ {
+					state, budget := modelAt(t, ops[:k])
+					matched = reflect.DeepEqual(got, state) && reflect.DeepEqual(gotBudget, budget)
+				}
+				if !matched {
+					beforeState, beforeBudget := modelAt(t, ops[:crashedAt])
+					afterState, afterBudget := modelAt(t, ops[:crashedAt+1])
 					t.Fatalf("seed %d torn=%v crash at hit %d (%s, op %d %+v):\nrecovered %v budget %v\nbefore    %v budget %v\nafter     %v budget %v",
 						seed, torn, n, crashPoint, crashedAt, ops[crashedAt],
 						got, gotBudget, beforeState, beforeBudget, afterState, afterBudget)
@@ -463,6 +484,259 @@ func TestStatusesPageProperty(t *testing.T) {
 	}
 }
 
+// groupOp is one op of a job's history in the concurrent sweep.
+type groupOp struct {
+	kind  string // "submit", "claim", "progress", "charge", "complete", "fail", "cancel"
+	acked bool
+}
+
+// groupHistory records, per job, the ops issued against it in order. A
+// job has one owner at a time (its submitter until the submit is
+// acknowledged, then whoever claimed it), so each job's history is
+// linear even though eight committers interleave.
+type groupHistory struct {
+	mu   sync.Mutex
+	jobs map[string][]groupOp
+}
+
+// run issues one op against name, recording it before the call (it may
+// reach disk without ever being acknowledged) and marking it acked after.
+func (h *groupHistory) run(name, kind string, op func() error) error {
+	h.mu.Lock()
+	i := len(h.jobs[name])
+	h.jobs[name] = append(h.jobs[name], groupOp{kind: kind})
+	h.mu.Unlock()
+	err := op()
+	if err == nil {
+		h.mu.Lock()
+		h.jobs[name][i].acked = true
+		h.mu.Unlock()
+	}
+	return err
+}
+
+// groupModel replays ops, a prefix of one job's history, on a volatile
+// service holding only that job, and returns its normalized record (ok
+// false before the submit).
+func groupModel(t *testing.T, name string, ops []groupOp) (st normStatus, ok bool) {
+	t.Helper()
+	m, err := OpenService(ServiceConfig{MaxAttempts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		switch op.kind {
+		case "submit":
+			_, err = m.Submit(testJob(name))
+		case "claim":
+			if _, claimed := m.Claim(); !claimed {
+				err = errNothingPending
+			}
+		case "progress":
+			err = m.Progress(name, 0.5, 1)
+		case "complete":
+			err = m.Complete(name, 2)
+		case "fail":
+			_, err = m.Fail(name, errors.New("induced failure"), 1)
+		case "cancel":
+			err = m.Cancel(name)
+		}
+		if err != nil {
+			t.Fatalf("model replay of %s %v: %v", name, op, err)
+		}
+	}
+	st, ok = normalize(m)[name]
+	return st, ok
+}
+
+const (
+	groupSvcCommitters = 8
+	groupSvcJobsEach   = 3
+)
+
+// runServiceGroups drives groupSvcCommitters concurrent committers
+// against s. Each submits its own jobs and, after every submit, claims
+// whatever is oldest — usually another committer's job — and drives it:
+// an advisory progress report, a budget charge, then a verdict chosen by
+// the job's name. It stops at the first error or once stop reports true.
+func runServiceGroups(s *Service, h *groupHistory, stop func() bool) {
+	var wg sync.WaitGroup
+	for w := 0; w < groupSvcCommitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < groupSvcJobsEach && !stop(); i++ {
+				own := fmt.Sprintf("w%d-j%d", w, i)
+				if h.run(own, "submit", func() error { _, err := s.Submit(testJob(own)); return err }) != nil {
+					return
+				}
+				st, ok := s.Claim()
+				if !ok {
+					continue
+				}
+				name := st.Job.Name
+				h.run(name, "claim", func() error { return nil })
+				verdict := []string{"complete", "fail", "cancel"}[int(name[1]-'0'+name[4]-'0')%3]
+				steps := []struct {
+					kind string
+					op   func() error
+				}{
+					{"progress", func() error { return s.Progress(name, 0.5, 1) }},
+					{"charge", func() error { return s.ChargeBudget(name, 1) }},
+					{verdict, func() error {
+						switch verdict {
+						case "complete":
+							return s.Complete(name, 2)
+						case "fail":
+							_, err := s.Fail(name, errors.New("induced failure"), 1)
+							return err
+						}
+						return s.Cancel(name)
+					}},
+				}
+				for _, step := range steps {
+					if h.run(name, step.kind, step.op) != nil {
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestServiceGroupCrashEquivalence is the crash sweep over group commit
+// at the service level: eight concurrent committers over overlapping
+// jobs, a crash at every storage failpoint hit (most land while a group
+// is in flight). After reopening:
+//
+//   - acknowledged ⇒ recovered: each job's record equals the model after
+//     some prefix of its history no shorter than its acknowledged ops
+//     (less the advisory progress reports directly before the crash, and
+//     plus at most one claim nobody learned of);
+//   - the recovered frames are a prefix of staging order: submissions
+//     take consecutive FIFO sequences under the commit lock, so the
+//     recovered jobs' sequences have no gap;
+//   - each batch is all-or-nothing: records and index entries agree;
+//   - the ledger holds no less than the acknowledged charges, no more
+//     than the issued ones, and its total is the sum of its lines;
+//   - recovery is a fixed point.
+func TestServiceGroupCrashEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash sweep is not short")
+	}
+	open := func(dir string, fail jobstore.FailFunc) *Service {
+		s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, SnapshotEvery: 7, MaxAttempts: 2, StoreFail: fail})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return s
+	}
+	counter := &svcCrash{n: -1}
+	dry := open(t.TempDir(), counter.fn)
+	runServiceGroups(dry, &groupHistory{jobs: map[string][]groupOp{}}, func() bool { return false })
+	dry.Quiesce()
+	dry.Close()
+
+	crashedPoints := map[string]int{}
+	for _, torn := range []bool{false, true} {
+		for n := 1; n <= counter.totalHits(); n++ {
+			dir := t.TempDir()
+			crash := &svcCrash{n: n, torn: torn}
+			h := &groupHistory{jobs: map[string][]groupOp{}}
+			s := open(dir, crash.fn)
+			runServiceGroups(s, h, func() bool { fired, _ := crash.state(); return fired })
+			s.Quiesce()
+			s.Close()
+			fired, point := crash.state()
+			if !fired {
+				continue // this interleaving had fewer hits
+			}
+			crashedPoints[point]++
+			label := fmt.Sprintf("torn=%v hit %d (%s)", torn, n, point)
+
+			primary := checkLSMIndexes(t, dir, label)
+			seqs := make([]uint64, 0, len(primary))
+			for _, ws := range primary {
+				seqs = append(seqs, ws.Seq)
+			}
+			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+			for i, seq := range seqs {
+				if seq != uint64(i) {
+					t.Fatalf("%s: recovered submissions %v skip a sequence — not a prefix of staging order", label, seqs)
+				}
+			}
+
+			r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+			if err != nil {
+				t.Fatalf("%s: recovery failed: %v", label, err)
+			}
+			got, gotBudget := normalize(r), r.Budget()
+			r.Close()
+
+			total := 0.0
+			for name, ops := range h.jobs {
+				// The shortest legal prefix: every acknowledged op, except
+				// that progress reports acknowledged after the last waited
+				// op were only staged.
+				lo := 0
+				var ackedCharges, issuedCharges float64
+				for i, op := range ops {
+					if op.acked && op.kind != "progress" {
+						lo = i + 1
+					}
+					if op.kind == "charge" {
+						issuedCharges++
+						if op.acked {
+							ackedCharges++
+						}
+					}
+				}
+				rec, present := got[name]
+				matched := false
+				for k := lo; k <= len(ops) && !matched; k++ {
+					want, ok := groupModel(t, name, ops[:k])
+					matched = ok == present && (!ok || reflect.DeepEqual(rec, want))
+					if !matched && k == len(ops) && ok && want.State == StatePending {
+						// A claim staged by a committer that never heard back.
+						want, _ = groupModel(t, name, append(ops[:k:k], groupOp{kind: "claim"}))
+						matched = present && reflect.DeepEqual(rec, want)
+					}
+				}
+				if !matched {
+					t.Fatalf("%s: job %s recovered as %+v (present %v), which no prefix >= %d of its history %v explains", label, name, rec, present, lo, ops)
+				}
+				if c := gotBudget.Jobs[name]; c < ackedCharges || c > issuedCharges {
+					t.Fatalf("%s: job %s ledger line %v outside [acknowledged %v, issued %v]", label, name, c, ackedCharges, issuedCharges)
+				}
+				total += gotBudget.Jobs[name]
+			}
+			if gotBudget.GlobalSpent != total || len(gotBudget.Jobs) > len(h.jobs) {
+				t.Fatalf("%s: ledger %+v does not add up to %v", label, gotBudget, total)
+			}
+			for name := range got {
+				if _, known := h.jobs[name]; !known {
+					t.Fatalf("%s: recovered unknown job %s", label, name)
+				}
+			}
+
+			r2, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+			if err != nil {
+				t.Fatalf("%s: second recovery failed: %v", label, err)
+			}
+			if again, againBudget := normalize(r2), r2.Budget(); !reflect.DeepEqual(again, got) || !reflect.DeepEqual(againBudget, gotBudget) {
+				t.Fatalf("%s: recovery is not a fixed point:\nfirst  %v %v\nsecond %v %v", label, got, gotBudget, again, againBudget)
+			}
+			r2.Close()
+		}
+	}
+	for _, p := range jobstore.LSMFailpoints {
+		if crashedPoints[p] == 0 {
+			t.Errorf("failpoint %s never crashed in the concurrent service sweep", p)
+		}
+	}
+}
+
 // TestLSMSecondaryIndexConsistency drives random lifecycle traffic
 // through the LSM engine with aggressive checkpointing (so records
 // cross memtable flushes and compactions), then inspects the raw store:
@@ -480,84 +754,94 @@ func TestLSMSecondaryIndexConsistency(t *testing.T) {
 		}
 		s.Close()
 
-		l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		primary := map[string]walStatus{}
-		err = l.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(k string, v []byte) bool {
-			var ws walStatus
-			if err := json.Unmarshal(v, &ws); err != nil {
-				t.Fatalf("primary record %q: %v", k, err)
-			}
-			primary[ws.Job.Name] = ws
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(primary) == 0 {
+		if primary := checkLSMIndexes(t, dir, fmt.Sprintf("seed %d", seed)); len(primary) == 0 {
 			t.Fatalf("seed %d: no jobs made it to the store", seed)
 		}
+	}
+}
 
-		stateEntries := map[string]string{} // name → indexed state/seq
-		err = l.Scan(lsmStatePrefix, prefixEnd(lsmStatePrefix), func(k string, _ []byte) bool {
-			parts := strings.Split(strings.TrimPrefix(k, lsmStatePrefix), "/")
-			if len(parts) != 3 {
-				t.Fatalf("malformed state index key %q", k)
-			}
-			if prev, dup := stateEntries[parts[2]]; dup {
-				t.Fatalf("job %q has two state index entries: %q and %q", parts[2], prev, parts[0])
-			}
-			stateEntries[parts[2]] = parts[0] + "/" + parts[1]
+// checkLSMIndexes inspects the raw store at dir: the (state, priority,
+// tenant) index keyspaces must correspond 1:1 with the primary records —
+// no dangling entries, no missing ones. Every event commits its record
+// and index entries as one batch, so this is also the all-or-nothing
+// check after a crash. It returns the primary records by job name.
+func checkLSMIndexes(t *testing.T, dir, label string) map[string]walStatus {
+	t.Helper()
+	l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	primary := map[string]walStatus{}
+	err = l.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(k string, v []byte) bool {
+		var ws walStatus
+		if err := json.Unmarshal(v, &ws); err != nil {
+			t.Fatalf("primary record %q: %v", k, err)
+		}
+		primary[ws.Job.Name] = ws
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stateEntries := map[string]string{} // name → indexed state/seq
+	err = l.Scan(lsmStatePrefix, prefixEnd(lsmStatePrefix), func(k string, _ []byte) bool {
+		parts := strings.Split(strings.TrimPrefix(k, lsmStatePrefix), "/")
+		if len(parts) != 3 {
+			t.Fatalf("malformed state index key %q", k)
+		}
+		if prev, dup := stateEntries[parts[2]]; dup {
+			t.Fatalf("job %q has two state index entries: %q and %q", parts[2], prev, parts[0])
+		}
+		stateEntries[parts[2]] = parts[0] + "/" + parts[1]
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ws := range primary {
+		want := fmt.Sprintf("%s/%016x", ws.State, ws.Seq)
+		if stateEntries[name] != want {
+			t.Fatalf("%s: job %q state index = %q, want %q", label, name, stateEntries[name], want)
+		}
+		delete(stateEntries, name)
+	}
+	if len(stateEntries) != 0 {
+		t.Fatalf("%s: dangling state index entries: %v", label, stateEntries)
+	}
+
+	checkOnePerJob := func(prefix string, keyFor func(ws walStatus) string) {
+		entries := map[string]bool{}
+		err := l.Scan(prefix, prefixEnd(prefix), func(k string, _ []byte) bool {
+			entries[k] = true
 			return true
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, ws := range primary {
-			want := fmt.Sprintf("%s/%016x", ws.State, ws.Seq)
-			if stateEntries[name] != want {
-				t.Fatalf("seed %d: job %q state index = %q, want %q", seed, name, stateEntries[name], want)
+			want := keyFor(ws)
+			if want == "" {
+				continue
 			}
-			delete(stateEntries, name)
+			if !entries[want] {
+				t.Fatalf("%s: job %q missing index key %q", label, name, want)
+			}
+			delete(entries, want)
 		}
-		if len(stateEntries) != 0 {
-			t.Fatalf("seed %d: dangling state index entries: %v", seed, stateEntries)
+		if len(entries) != 0 {
+			t.Fatalf("%s: dangling %s entries: %v", label, prefix, entries)
 		}
-
-		checkOnePerJob := func(prefix string, keyFor func(ws walStatus) string) {
-			entries := map[string]bool{}
-			err := l.Scan(prefix, prefixEnd(prefix), func(k string, _ []byte) bool {
-				entries[k] = true
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, ws := range primary {
-				want := keyFor(ws)
-				if want == "" {
-					continue
-				}
-				if !entries[want] {
-					t.Fatalf("seed %d: job %q missing index key %q", seed, name, want)
-				}
-				delete(entries, want)
-			}
-			if len(entries) != 0 {
-				t.Fatalf("seed %d: dangling %s entries: %v", seed, prefix, entries)
-			}
-		}
-		checkOnePerJob(lsmPrioPrefix, func(ws walStatus) string {
-			return lsmPrioKey(ws.Job.Priority, ws.Job.Name)
-		})
-		checkOnePerJob(lsmTenantPrefix, func(ws walStatus) string {
-			if ws.Job.Tenant == "" {
-				return ""
-			}
-			return lsmTenantKey(ws.Job.Tenant, ws.Job.Name)
-		})
 	}
+	checkOnePerJob(lsmPrioPrefix, func(ws walStatus) string {
+		return lsmPrioKey(ws.Job.Priority, ws.Job.Name)
+	})
+	checkOnePerJob(lsmTenantPrefix, func(ws walStatus) string {
+		if ws.Job.Tenant == "" {
+			return ""
+		}
+		return lsmTenantKey(ws.Job.Tenant, ws.Job.Name)
+	})
+	return primary
 }

@@ -62,21 +62,62 @@ type ServiceConfig struct {
 
 // Service is the durable job lifecycle service. It is safe for
 // concurrent use.
+//
+// Every mutation commits in two steps (README, "Commit protocol"). Under
+// mu it applies the state-machine transition, encodes the event and
+// stages it with the store — a sequence number is assigned, nothing is
+// written. Then it releases mu and waits for that sequence to be durable;
+// the store writes whatever was staged meanwhile as one group with one
+// fsync. A mutator returns nil only after its own frame is fsynced.
 type Service struct {
 	cfg ServiceConfig
 	m   *Manager
 
-	// mu serialises state mutation with WAL appends so the log's event
-	// order always matches the order the state machine applied them in.
+	// mu serialises state mutation with staging, so the log's event order
+	// always matches the order the state machine applied them in. It is
+	// never held across store I/O on the commit path.
 	mu      sync.Mutex
-	log     *jobstore.Log // EngineWAL backend (nil otherwise)
-	lsm     *jobstore.LSM // EngineLSM backend (nil otherwise)
-	events  int           // committed events since the last LSM checkpoint
+	log     *jobstore.Log // EngineWAL backend (nil otherwise); immutable after open
+	lsm     *jobstore.LSM // EngineLSM backend (nil otherwise); immutable after open
+	events  int           // staged events since the last LSM checkpoint was cut
 	closed  bool
 	wake    chan struct{}
 	resumed []string
 	budget  BudgetState
 	streams map[string]StreamMark
+
+	// pending is the undo log of transitions applied in memory but not
+	// yet known durable, in staging order; newest maps each record with a
+	// pending transition to its latest staged sequence, which is what a
+	// read of that record waits for. Both shrink as the store's durable
+	// watermark passes (settleLocked), so neither outlives a commit.
+	pending []stagedTx
+	newest  map[recordKey]uint64
+	// syncsSeen is the store's fsync count already added to wal_fsyncs.
+	syncsSeen uint64
+}
+
+// recordKey names one durable record: a job's lifecycle record, a job's
+// stream mark, or (the zero name under nsBudget) the budget ledger.
+type recordKey struct {
+	ns   byte
+	name string
+}
+
+const (
+	nsJob byte = iota
+	nsStream
+	nsBudget
+)
+
+// stagedTx is one undo-log entry: the sequence the store assigned the
+// transition, the record it touched, and how to take it back out of
+// memory. undo restores the state captured just before the transition,
+// so undoing a suffix of the log newest-first is exact.
+type stagedTx struct {
+	seq  uint64
+	key  recordKey
+	undo func()
 }
 
 // LSM keyspace. The primary record lives under "j/<name>"; secondary
@@ -292,9 +333,10 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 		cfg.SnapshotEvery = 256
 	}
 	s := &Service{
-		cfg:  cfg,
-		m:    NewManager(),
-		wake: make(chan struct{}, 1),
+		cfg:    cfg,
+		m:      NewManager(),
+		wake:   make(chan struct{}, 1),
+		newest: make(map[recordKey]uint64),
 	}
 	s.m.SetMaxAttempts(cfg.MaxAttempts)
 	if cfg.Dir == "" {
@@ -362,25 +404,33 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 		}
 		s.m.restore(fromWal(ev.Status))
 	}
-	// Resume: jobs the dead process had claimed go back to Pending so a
-	// dispatcher can pick them up again.
+	var running []string
 	for _, st := range s.m.Statuses() {
-		if st.State != StateRunning {
-			continue
+		if st.State == StateRunning {
+			running = append(running, st.Job.Name)
 		}
-		re, err := s.m.Requeue(st.Job.Name)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		if err := s.append("update", StateRunning, re, true); err != nil {
-			log.Close()
-			return nil, err
-		}
-		s.resumed = append(s.resumed, st.Job.Name)
-		cfg.Counters.Inc(metrics.CounterJobsResumed)
+	}
+	if err := s.requeueInterrupted(running); err != nil {
+		log.Close()
+		return nil, err
 	}
 	return s, nil
+}
+
+// requeueInterrupted is the resume step of boot: the named jobs, which
+// the dead process had claimed, go back to Pending so a dispatcher can
+// pick them up again. Every requeue is staged, then one wait makes them
+// all durable.
+func (s *Service) requeueInterrupted(names []string) error {
+	for _, name := range names {
+		err := s.transition(name, false, func() (Status, error) { return s.m.Requeue(name) })
+		if err != nil {
+			return err
+		}
+		s.resumed = append(s.resumed, name)
+		s.cfg.Counters.Inc(metrics.CounterJobsResumed)
+	}
+	return s.flush()
 }
 
 // openLSMService finishes OpenService for EngineLSM: boot from the
@@ -467,15 +517,9 @@ func openLSMService(s *Service) (*Service, error) {
 		if st, ok := s.m.Status(name); !ok || st.State != StateRunning {
 			return fail(fmt.Errorf("jobs: state index lists %q as running but the primary record disagrees", name))
 		}
-		re, err := s.m.Requeue(name)
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.append("update", StateRunning, re, true); err != nil {
-			return fail(err)
-		}
-		s.resumed = append(s.resumed, name)
-		s.cfg.Counters.Inc(metrics.CounterJobsResumed)
+	}
+	if err := s.requeueInterrupted(running); err != nil {
+		return fail(err)
 	}
 	return s, nil
 }
@@ -500,75 +544,222 @@ func (s *Service) notify() {
 	}
 }
 
-// append commits one lifecycle event. prevState is the job's state
-// before the transition ("" for a brand-new submission) — the LSM
-// engine uses it to re-file the state index entry in the same atomic
-// batch. Callers hold s.mu. sync selects fsync-on-commit; progress
-// events pass false — they are advisory (reset on requeue), and a
-// later synced transition flushes them anyway.
-func (s *Service) append(op string, prevState State, st Status, sync bool) error {
-	return s.appendEvent(walEvent{Op: op, Status: toWal(st)}, prevState, sync)
+// staging is what a mutator's apply step hands to commit: the record it
+// touched, the event to log, the job's state before the transition (""
+// for a new submission and for non-lifecycle events; the LSM engine uses
+// it to re-file the state index entry in the same atomic batch) and the
+// undo that takes the transition back out of memory.
+type staging struct {
+	key       recordKey
+	ev        walEvent
+	prevState State
+	undo      func()
 }
 
-// appendEvent commits any event (no-op when the service is volatile)
-// and compacts when the policy says so — the single choke point for
-// lifecycle and budget records alike, so every event kind counts
-// toward and triggers compaction. Callers hold s.mu.
-func (s *Service) appendEvent(ev walEvent, prevState State, sync bool) error {
-	if s.closed {
-		return ErrServiceClosed
-	}
-	if s.lsm != nil {
-		return s.lsmCommit(ev, prevState)
-	}
-	if s.log == nil {
-		return nil
-	}
-	rec, err := json.Marshal(ev)
+// commit is the one way a mutation reaches the store. Under s.mu, apply
+// runs the state-machine transition and the event is staged: the store
+// assigns it the next sequence and buffers it, with no I/O. commit then
+// releases s.mu and, when wait is set, blocks until that sequence is
+// fsynced — along with whatever else was staged meanwhile, as one group.
+// If staging fails the transition is undone on the spot; if the group
+// later fails, every transition not yet durable is undone (settleLocked),
+// so memory never acknowledges more than disk. Advisory events pass
+// wait=false: they are staged in order, flushed by the next group (or by
+// Close) and never waited for.
+func (s *Service) commit(wait bool, apply func() (staging, error)) error {
+	s.mu.Lock()
+	tx, err := apply()
 	if err != nil {
-		return fmt.Errorf("jobs: encoding event: %w", err)
-	}
-	if sync {
-		_, err = s.log.Append(rec)
-	} else {
-		_, err = s.log.AppendNoSync(rec)
-	}
-	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	s.cfg.Counters.Inc(metrics.CounterWALAppends)
-	if s.cfg.SnapshotEvery > 0 && s.log.AppendsSinceSnapshot() >= s.cfg.SnapshotEvery {
-		// The event above is already durably committed; compaction is
-		// best-effort housekeeping and must not fail the transition (a
-		// failed compaction simply retries on a later append).
-		_ = s.compact()
+	seq, cut, err := s.stageLocked(tx.ev, tx.prevState)
+	if err != nil {
+		tx.undo()
+		s.mu.Unlock()
+		return err
 	}
-	return nil
+	if seq != 0 {
+		s.pending = append(s.pending, stagedTx{seq: seq, key: tx.key, undo: tx.undo})
+		s.newest[tx.key] = seq
+	}
+	s.mu.Unlock()
+	if wait && seq != 0 {
+		err = s.await(seq)
+	}
+	if err == nil && cut {
+		s.cutCheckpoint()
+	}
+	return err
 }
 
-// lsmCommit turns one event into an atomic LSM batch: the primary
+// stageLocked encodes ev and stages it with the store (seq 0 when the
+// service is volatile). It is the single choke point for lifecycle,
+// budget and stream records alike, so every event kind counts toward
+// compaction; cut reports that the LSM checkpoint policy is due.
+// Callers hold s.mu.
+func (s *Service) stageLocked(ev walEvent, prevState State) (seq uint64, cut bool, err error) {
+	if s.closed {
+		return 0, false, ErrServiceClosed
+	}
+	switch {
+	case s.lsm != nil:
+		batch, err := lsmBatch(ev, prevState)
+		if err != nil {
+			return 0, false, err
+		}
+		if seq, err = s.lsm.Stage(batch); err != nil {
+			return 0, false, err
+		}
+		s.events++
+		if s.cfg.SnapshotEvery > 0 && s.events >= s.cfg.SnapshotEvery {
+			s.events = 0
+			cut = true
+		}
+	case s.log != nil:
+		rec, err := json.Marshal(ev)
+		if err != nil {
+			return 0, false, fmt.Errorf("jobs: encoding event: %w", err)
+		}
+		if seq, err = s.log.AppendNoSync(rec); err != nil {
+			return 0, false, err
+		}
+		if s.cfg.SnapshotEvery > 0 && s.log.AppendsSinceSnapshot() >= s.cfg.SnapshotEvery {
+			// The snapshot is written from memory, which already holds
+			// every staged transition up to this one, so installing it
+			// makes them all durable. Compaction is best-effort
+			// housekeeping and must not fail the transition (a failed
+			// compaction simply retries on a later append).
+			_ = s.compact()
+		}
+	}
+	return seq, cut, nil
+}
+
+// await blocks until the store has made seq durable — leading the group
+// flush if no one else is — and then settles the undo log. Callers do
+// not hold s.mu.
+func (s *Service) await(seq uint64) error {
+	var err error
+	if s.lsm != nil {
+		err = s.lsm.Wait(seq)
+	} else {
+		err = s.log.Sync(seq)
+	}
+	s.settle(err != nil)
+	return err
+}
+
+// settle trims the undo log up to the store's durable watermark, read
+// before taking s.mu so the store's lock is never taken under it here: a
+// stale reading only trims less, and after a failure the watermark no
+// longer moves. With failed set, everything past the watermark is undone.
+func (s *Service) settle(failed bool) {
+	var durable, syncs uint64
+	switch {
+	case s.lsm != nil:
+		durable, syncs = s.lsm.DurableSeq(), s.lsm.WALSyncs()
+	case s.log != nil:
+		durable, syncs = s.log.Synced(), s.log.Syncs()
+	}
+	s.mu.Lock()
+	s.settleLocked(durable, syncs, failed)
+	s.mu.Unlock()
+}
+
+// flush waits for everything staged so far.
+func (s *Service) flush() error {
+	s.mu.Lock()
+	seq := s.lastStagedLocked()
+	s.mu.Unlock()
+	if seq == 0 {
+		return nil
+	}
+	return s.await(seq)
+}
+
+// lastStagedLocked is the newest sequence still in the undo log (0 when
+// everything is durable). Callers hold s.mu.
+func (s *Service) lastStagedLocked() uint64 {
+	if len(s.pending) == 0 {
+		return 0
+	}
+	return s.pending[len(s.pending)-1].seq
+}
+
+// settleLocked drops the undo-log prefix the durable watermark has
+// passed, counting those events as committed (and the store's fsyncs so
+// far into wal_fsyncs). With failed set the store has failed (it stays
+// failed until reopened, so the watermark is final): every transition
+// past the watermark is undone, newest first, which leaves each touched
+// record at its last durable value. Callers hold s.mu.
+func (s *Service) settleLocked(durable, syncs uint64, failed bool) {
+	if syncs > s.syncsSeen {
+		s.cfg.Counters.Add(metrics.CounterWALFsyncs, int64(syncs-s.syncsSeen))
+		s.syncsSeen = syncs
+	}
+	n := 0
+	for n < len(s.pending) && s.pending[n].seq <= durable {
+		n++
+	}
+	if n > 0 {
+		s.cfg.Counters.Add(metrics.CounterWALAppends, int64(n))
+	}
+	if failed {
+		for i := len(s.pending) - 1; i >= n; i-- {
+			s.pending[i].undo()
+		}
+		n = len(s.pending)
+	}
+	for _, tx := range s.pending[:n] {
+		if s.newest[tx.key] == tx.seq {
+			delete(s.newest, tx.key)
+		}
+	}
+	rest := copy(s.pending, s.pending[n:])
+	clear(s.pending[rest:])
+	s.pending = s.pending[:rest]
+}
+
+// read runs fn under s.mu and returns once everything fn saw is durable,
+// so a read never shows a transition that could still roll back. fn
+// returns the newest staged sequence its answer reflects (0 when that is
+// all durable already). When the wait fails the store has failed and the
+// transitions were undone: fn runs again over what is left.
+func (s *Service) read(fn func() uint64) {
+	for {
+		s.mu.Lock()
+		seq := fn()
+		s.mu.Unlock()
+		if seq == 0 || s.await(seq) == nil {
+			return
+		}
+	}
+}
+
+// lsmBatch turns one event into an atomic LSM batch: the primary
 // record plus every secondary index entry the event adds, moves or
 // removes — all under one WAL frame, so a crash can never persist the
-// record without its index entries or vice versa. Callers hold s.mu.
-func (s *Service) lsmCommit(ev walEvent, prevState State) error {
+// record without its index entries or vice versa.
+func lsmBatch(ev walEvent, prevState State) ([]jobstore.Op, error) {
 	var batch []jobstore.Op
 	if ev.Op == "budget" {
 		payload, err := json.Marshal(ev.Budget)
 		if err != nil {
-			return fmt.Errorf("jobs: encoding budget: %w", err)
+			return nil, fmt.Errorf("jobs: encoding budget: %w", err)
 		}
 		batch = append(batch, jobstore.Op{Key: lsmBudgetKey, Value: payload})
 	} else if ev.Op == "stream" {
 		payload, err := json.Marshal(ev.Stream)
 		if err != nil {
-			return fmt.Errorf("jobs: encoding stream mark: %w", err)
+			return nil, fmt.Errorf("jobs: encoding stream mark: %w", err)
 		}
 		batch = append(batch, jobstore.Op{Key: lsmStreamKey(ev.Stream.Job), Value: payload})
 	} else {
 		ws := ev.Status
 		payload, err := json.Marshal(ws)
 		if err != nil {
-			return fmt.Errorf("jobs: encoding job record: %w", err)
+			return nil, fmt.Errorf("jobs: encoding job record: %w", err)
 		}
 		batch = append(batch, jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload})
 		if prevState != "" && prevState != ws.State {
@@ -586,26 +777,22 @@ func (s *Service) lsmCommit(ev walEvent, prevState State) error {
 			}
 		}
 	}
-	if err := s.lsm.Apply(batch); err != nil {
-		return err
+	return batch, nil
+}
+
+// cutCheckpoint starts an LSM checkpoint once SnapshotEvery events have
+// been staged. It is best-effort housekeeping, run after the triggering
+// commit is durable and outside s.mu: only the freeze and WAL-segment
+// rotation happen here; the flush's outcome arrives through
+// onCheckpoint. A failure to start re-arms the event counter, so the
+// very next commit retries instead of waiting out another SnapshotEvery
+// window.
+func (s *Service) cutCheckpoint() {
+	if _, err := s.lsm.CheckpointAsync(); err != nil {
+		s.mu.Lock()
+		s.noteCheckpointFailureLocked(err)
+		s.mu.Unlock()
 	}
-	s.cfg.Counters.Inc(metrics.CounterWALAppends)
-	s.events++
-	if s.cfg.SnapshotEvery > 0 && s.events >= s.cfg.SnapshotEvery {
-		// Best-effort housekeeping, same contract as the WAL engine's
-		// compaction: the batch above is already durable. The cut is
-		// asynchronous — only the freeze and WAL-segment rotation happen
-		// here; the flush's outcome arrives through onCheckpoint. The
-		// event counter resets only when a checkpoint actually covers
-		// the events, so a failure here retries on the very next commit
-		// instead of waiting out another SnapshotEvery window.
-		if _, err := s.lsm.CheckpointAsync(); err != nil {
-			s.noteCheckpointFailureLocked(err)
-		} else {
-			s.events = 0
-		}
-	}
-	return nil
 }
 
 // onCheckpoint receives every checkpoint flush's outcome from the LSM
@@ -667,19 +854,27 @@ func (s *Service) compact() error {
 	return nil
 }
 
+// jobKey names a job's lifecycle record in the undo log.
+func jobKey(name string) recordKey { return recordKey{ns: nsJob, name: name} }
+
 // Submit registers the job (state Pending), commits it, and wakes the
-// dispatcher pool. On a WAL failure the registration is rolled back so
+// dispatcher pool. On a store failure the registration is rolled back so
 // memory never acknowledges more than disk.
 func (s *Service) Submit(job Job) (Plan, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	plan, err := s.m.Register(job)
+	var plan Plan
+	err := s.commit(true, func() (staging, error) {
+		var err error
+		if plan, err = s.m.Register(job); err != nil {
+			return staging{}, err
+		}
+		st, _ := s.m.Status(job.Name)
+		return staging{
+			key:  jobKey(job.Name),
+			ev:   walEvent{Op: "submit", Status: toWal(st)},
+			undo: func() { s.m.Unregister(job.Name) },
+		}, nil
+	})
 	if err != nil {
-		return Plan{}, err
-	}
-	st, _ := s.m.Status(job.Name)
-	if err := s.append("submit", "", st, true); err != nil {
-		s.m.Unregister(job.Name)
 		return Plan{}, err
 	}
 	s.cfg.Counters.Inc(metrics.CounterJobsSubmitted)
@@ -687,66 +882,74 @@ func (s *Service) Submit(job Job) (Plan, error) {
 	return plan, nil
 }
 
+var errNothingPending = errors.New("jobs: nothing pending")
+
 // Claim moves the oldest Pending job to Running and commits the
 // transition. ok is false when nothing is pending.
 func (s *Service) Claim() (Status, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.m.Claim()
-	if !ok {
-		return Status{}, false
-	}
-	if err := s.append("update", StatePending, st, true); err != nil {
-		// Disk refused the claim: revert it entirely (state and attempt
-		// count) so no work runs unlogged and transient storage errors
-		// don't eat the retry budget.
-		s.m.unclaim(st.Job.Name)
+	var st Status
+	err := s.commit(true, func() (staging, error) {
+		var ok bool
+		if st, ok = s.m.Claim(); !ok {
+			return staging{}, errNothingPending
+		}
+		return staging{
+			key:       jobKey(st.Job.Name),
+			ev:        walEvent{Op: "update", Status: toWal(st)},
+			prevState: StatePending,
+			// Disk refused the claim: revert it entirely (state and
+			// attempt count) so no work runs unlogged and transient
+			// storage errors don't eat the retry budget.
+			undo: func() { s.m.unclaim(st.Job.Name) },
+		}, nil
+	})
+	if err != nil {
 		return Status{}, false
 	}
 	s.cfg.Counters.Inc(metrics.CounterJobsStarted)
 	return st, true
 }
 
-// commitUpdate appends a post-transition record. If the log refuses
-// the commit, the in-memory record is reverted to prev, preserving the
-// invariant that memory never acknowledges more than disk.
-func (s *Service) commitUpdate(prev, st Status, sync bool) error {
-	if err := s.append("update", prev.State, st, sync); err != nil {
-		s.m.revert(prev)
-		return err
-	}
-	return nil
+// transition commits one lifecycle move of an existing job: it captures
+// the job's record, applies move, and logs the post-transition record.
+// If the store refuses the commit the captured record is put back,
+// preserving the invariant that memory never acknowledges more than
+// disk.
+func (s *Service) transition(name string, wait bool, move func() (Status, error)) error {
+	return s.commit(wait, func() (staging, error) {
+		prev, _ := s.m.Status(name)
+		st, err := move()
+		if err != nil {
+			return staging{}, err
+		}
+		return staging{
+			key:       jobKey(name),
+			ev:        walEvent{Op: "update", Status: toWal(st)},
+			prevState: prev.State,
+			undo:      func() { s.m.revert(prev) },
+		}, nil
+	})
 }
 
 // Complete commits a Running job's successful finish with the final
 // cost of the finishing attempt.
 func (s *Service) Complete(name string, cost float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, err := s.m.Complete(name, cost)
-	if err != nil {
-		return err
+	err := s.transition(name, true, func() (Status, error) { return s.m.Complete(name, cost) })
+	if err == nil {
+		s.cfg.Counters.Inc(metrics.CounterJobsCompleted)
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterJobsCompleted)
-	return nil
+	return err
 }
 
 // Fail commits a Running job's failure: requeued (retry) while
 // attempts remain and the cause is not permanent, terminal Failed
 // otherwise.
 func (s *Service) Fail(name string, cause error, cost float64) (requeued bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, requeued, err := s.m.Fail(name, cause, cost)
+	err = s.transition(name, true, func() (st Status, err error) {
+		st, requeued, err = s.m.Fail(name, cause, cost)
+		return st, err
+	})
 	if err != nil {
-		return false, err
-	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
 		return false, err
 	}
 	if requeued {
@@ -762,53 +965,32 @@ func (s *Service) Fail(name string, cause error, cost float64) (requeued bool, e
 // Running job here only records the state — interrupting the actual
 // run is the dispatcher's half (per-job context cancellation).
 func (s *Service) Cancel(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, err := s.m.Cancel(name)
-	if err != nil {
-		return err
+	err := s.transition(name, true, func() (Status, error) { return s.m.Cancel(name) })
+	if err == nil {
+		s.cfg.Counters.Inc(metrics.CounterJobsCancelled)
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterJobsCancelled)
-	return nil
+	return err
 }
 
 // Park commits a Running job's move to Parked: budget admission refused
 // the run. The job leaves the claim queue but stays resumable.
 func (s *Service) Park(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, err := s.m.Park(name)
-	if err != nil {
-		return err
+	err := s.transition(name, true, func() (Status, error) { return s.m.Park(name) })
+	if err == nil {
+		s.cfg.Counters.Inc(metrics.CounterJobsParked)
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterJobsParked)
-	return nil
+	return err
 }
 
 // Unpark commits a Parked job's return to Pending and wakes the pool —
 // the resume path once budget frees up or the operator raises it.
 func (s *Service) Unpark(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, err := s.m.Unpark(name)
-	if err != nil {
-		return err
+	err := s.transition(name, true, func() (Status, error) { return s.m.Unpark(name) })
+	if err == nil {
+		s.cfg.Counters.Inc(metrics.CounterJobsUnparked)
+		s.notify()
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterJobsUnparked)
-	s.notify()
-	return nil
+	return err
 }
 
 // ChargeBudget commits a crowd-spend charge against the job and the
@@ -819,28 +1001,41 @@ func (s *Service) ChargeBudget(name string, amount float64) error {
 	if amount <= 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev := s.budget.clone()
-	s.budget.GlobalSpent += amount
-	if s.budget.Jobs == nil {
-		s.budget.Jobs = make(map[string]float64)
+	err := s.commit(true, func() (staging, error) {
+		prevGlobal := s.budget.GlobalSpent
+		prevJob, had := s.budget.Jobs[name]
+		s.budget.GlobalSpent += amount
+		if s.budget.Jobs == nil {
+			s.budget.Jobs = make(map[string]float64)
+		}
+		s.budget.Jobs[name] += amount
+		b := s.budget.clone()
+		return staging{
+			key: recordKey{ns: nsBudget},
+			ev:  walEvent{Op: "budget", Budget: &b},
+			undo: func() {
+				s.budget.GlobalSpent = prevGlobal
+				if had {
+					s.budget.Jobs[name] = prevJob
+				} else {
+					delete(s.budget.Jobs, name)
+				}
+			},
+		}, nil
+	})
+	if err == nil {
+		s.cfg.Counters.Inc(metrics.CounterBudgetCharges)
 	}
-	s.budget.Jobs[name] += amount
-	b := s.budget.clone()
-	if err := s.appendEvent(walEvent{Op: "budget", Budget: &b}, "", true); err != nil {
-		s.budget = prev
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterBudgetCharges)
-	return nil
+	return err
 }
 
 // Budget returns a copy of the durable budget ledger.
-func (s *Service) Budget() BudgetState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.budget.clone()
+func (s *Service) Budget() (b BudgetState) {
+	s.read(func() uint64 {
+		b = s.budget.clone()
+		return s.newest[recordKey{ns: nsBudget}]
+	})
+	return b
 }
 
 // setStreamMark records a mark in memory. Callers hold s.mu (or are in
@@ -860,107 +1055,105 @@ func (s *Service) setStreamMark(name string, mark StreamMark) {
 // committing a mark whose window regresses below the recorded one is
 // rejected (a runner bug, not a storage race).
 func (s *Service) CommitStreamMark(name string, mark StreamMark) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, had := s.streams[name]
-	if had && mark.Window < prev.Window {
-		return fmt.Errorf("jobs: stream mark for %q regresses window %d below committed %d", name, mark.Window, prev.Window)
-	}
-	mark = mark.clone()
-	s.setStreamMark(name, mark)
-	if err := s.appendEvent(walEvent{Op: "stream", Stream: &streamRecord{Job: name, Mark: mark}}, "", true); err != nil {
-		if had {
-			s.streams[name] = prev
-		} else {
-			delete(s.streams, name)
+	return s.commit(true, func() (staging, error) {
+		prev, had := s.streams[name]
+		if had && mark.Window < prev.Window {
+			return staging{}, fmt.Errorf("jobs: stream mark for %q regresses window %d below committed %d", name, mark.Window, prev.Window)
 		}
-		return err
-	}
-	return nil
+		mark = mark.clone()
+		s.setStreamMark(name, mark)
+		return staging{
+			key: recordKey{ns: nsStream, name: name},
+			ev:  walEvent{Op: "stream", Stream: &streamRecord{Job: name, Mark: mark}},
+			undo: func() {
+				if had {
+					s.streams[name] = prev
+				} else {
+					delete(s.streams, name)
+				}
+			},
+		}, nil
+	})
 }
 
 // StreamMarkFor returns a continuous job's committed stream position.
 // ok is false when no window has ever been committed for the job.
-func (s *Service) StreamMarkFor(name string) (StreamMark, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mark, ok := s.streams[name]
-	return mark.clone(), ok
+func (s *Service) StreamMarkFor(name string) (mark StreamMark, ok bool) {
+	s.read(func() uint64 {
+		mark, ok = s.streams[name]
+		mark = mark.clone()
+		return s.newest[recordKey{ns: nsStream, name: name}]
+	})
+	return mark, ok
 }
 
 // VoidClaim commits the reversal of a claim whose runner never started
 // (shutdown won the claim race): the job returns to Pending with the
 // claim's attempt increment refunded.
 func (s *Service) VoidClaim(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, err := s.m.voidClaim(name)
-	if err != nil {
-		return err
+	err := s.transition(name, true, func() (Status, error) { return s.m.voidClaim(name) })
+	if err == nil {
+		s.notify()
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
-		return err
-	}
-	s.notify()
-	return nil
+	return err
 }
 
 // Requeue commits a Running job's return to Pending (graceful shutdown
 // of its worker) and wakes the pool.
 func (s *Service) Requeue(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, err := s.m.Requeue(name)
-	if err != nil {
-		return err
+	err := s.transition(name, true, func() (Status, error) { return s.m.Requeue(name) })
+	if err == nil {
+		s.notify()
 	}
-	if err := s.commitUpdate(prev, st, true); err != nil {
-		return err
-	}
-	s.notify()
-	return nil
+	return err
 }
 
-// Progress commits a Running job's progress fraction and the cost
-// charged so far in the current attempt.
+// Progress records a Running job's progress fraction and the cost
+// charged so far in the current attempt. The record is advisory (it is
+// reset on requeue): it is staged in order but not waited for, so a
+// crash may lose it; the next group commit, or Close, flushes it.
 func (s *Service) Progress(name string, progress, cost float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, _ := s.m.Status(name)
-	st, err := s.m.SetProgress(name, progress, cost)
-	if err != nil {
-		return err
-	}
-	return s.commitUpdate(prev, st, false)
+	return s.transition(name, false, func() (Status, error) { return s.m.SetProgress(name, progress, cost) })
 }
 
-// Status returns a job's lifecycle record. It takes the commit lock,
-// so a transition is never observable before its WAL commit succeeded
-// (or was rolled back) — reads see only acknowledged state.
-func (s *Service) Status(name string) (Status, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Status(name)
+// Status returns a job's lifecycle record. A transition is never
+// observable before it is durable: the read waits for the job's newest
+// staged commit, and sees the rolled-back record if that commit fails.
+func (s *Service) Status(name string) (st Status, ok bool) {
+	s.read(func() uint64 {
+		st, ok = s.m.Status(name)
+		return s.newest[jobKey(name)]
+	})
+	return st, ok
 }
 
 // Statuses lists every job's lifecycle record, sorted by name, under
-// the same acknowledged-state guarantee as Status.
-func (s *Service) Statuses() []Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Statuses()
+// the same durable-state guarantee as Status.
+func (s *Service) Statuses() (all []Status) {
+	s.read(func() uint64 {
+		all = s.m.Statuses()
+		return s.lastStagedLocked()
+	})
+	return all
 }
 
 // StatusesPage lists up to limit lifecycle records in name order,
 // strictly after the given name, optionally filtered by state and/or
-// tenant — an index range-read, not a sort of the whole table. It
-// takes the commit lock, so pages see only acknowledged state.
-func (s *Service) StatusesPage(after string, limit int, state State, tenant string) ([]Status, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.StatusesPage(after, limit, state, tenant)
+// tenant — an index range-read, not a sort of the whole table. Pages
+// see only durable state: the read waits for the newest staged commit
+// of any job on the page.
+func (s *Service) StatusesPage(after string, limit int, state State, tenant string) (page []Status, more bool) {
+	s.read(func() (seq uint64) {
+		page, more = s.m.StatusesPage(after, limit, state, tenant)
+		if len(s.newest) == 0 {
+			return 0
+		}
+		for _, st := range page {
+			seq = max(seq, s.newest[jobKey(st.Job.Name)])
+		}
+		return seq
+	})
+	return page, more
 }
 
 // MaxAttempts reports the retry bound.
@@ -969,17 +1162,15 @@ func (s *Service) MaxAttempts() int { return s.m.MaxAttempts() }
 // Quiesce blocks until no store checkpoint is in flight — a graceful
 // shutdown (and the crash harness) uses it to reach a settled store.
 func (s *Service) Quiesce() {
-	s.mu.Lock()
-	lsm := s.lsm
-	s.mu.Unlock()
-	if lsm != nil {
-		lsm.Quiesce()
+	if s.lsm != nil {
+		s.lsm.Quiesce()
 	}
 }
 
-// Close releases every configured store. The in-memory view stays
-// readable; mutations after Close fail with ErrServiceClosed. Close is
-// idempotent.
+// Close flushes whatever is still staged (an advisory progress record
+// is lost by a crash, never by Close) and releases every configured
+// store. The in-memory view stays readable; mutations after Close fail
+// with ErrServiceClosed. Close is idempotent.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -987,19 +1178,20 @@ func (s *Service) Close() error {
 		return nil
 	}
 	s.closed = true
-	log, lsm := s.log, s.lsm
 	// Drop the lock before closing: the LSM drains in-flight checkpoint
 	// flushes, whose completion callback (onCheckpoint) takes s.mu.
 	s.mu.Unlock()
 	var first error
-	if lsm != nil {
-		first = lsm.Close()
+	if s.lsm != nil {
+		first = s.lsm.Close()
 	}
-	if log != nil {
-		if err := log.Close(); err != nil && first == nil {
+	if s.log != nil {
+		if err := s.log.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
+	// Whatever the closed store did not make durable never will be.
+	s.settle(true)
 	return first
 }
 

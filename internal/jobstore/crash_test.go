@@ -244,3 +244,8 @@ func TestLSMCrashEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestLSMGroupCrashEquivalence is the sweep over group commit with inline
+// checkpoints: eight concurrent committers per group, a crash at every
+// failpoint hit (group_test.go holds the driver and the checks).
+func TestLSMGroupCrashEquivalence(t *testing.T) { groupCrashSweep(t, false) }

@@ -10,7 +10,8 @@
 //   - Append frames the payload with a length, a monotone sequence
 //     number and a CRC-32 checksum, writes it to the WAL and fsyncs
 //     before returning. A returned Append is committed: it survives
-//     kill -9.
+//     kill -9. AppendNoSync followed by Sync is the same commit in two
+//     steps, so concurrent committers share fsyncs.
 //   - WriteSnapshot atomically replaces the snapshot file
 //     (write-temp, fsync, rename, fsync-dir) and then truncates the
 //     WAL. The snapshot frame carries the sequence number of the last
@@ -33,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -63,6 +65,8 @@ var ErrCorruptSnapshot = errors.New("jobstore: snapshot file is corrupt")
 // kill -9 never wedges the store.
 var ErrLocked = errors.New("jobstore: store is locked by another process")
 
+var errLogClosed = errors.New("jobstore: log is closed")
+
 // Log is a durable append-only record log with snapshot compaction.
 // It is safe for concurrent use.
 type Log struct {
@@ -72,6 +76,18 @@ type Log struct {
 
 	seq     uint64 // last sequence number assigned
 	snapSeq uint64 // watermark: records <= snapSeq live in the snapshot
+
+	// synced is the durable watermark: records <= synced are fsynced or
+	// covered by a snapshot. syncing is set while one Sync caller fsyncs
+	// with mu released; cond (on mu) signals its return. failed makes the
+	// log fail-stop after a write or fsync error: the file may end in a
+	// partial or unacknowledged record that replay would cut, or keep,
+	// regardless of what is appended behind it.
+	synced  uint64
+	syncing bool
+	cond    *sync.Cond
+	failed  error
+	syncs   atomic.Uint64
 
 	// State recovered at Open; immutable afterwards.
 	snapshot  []byte
@@ -96,12 +112,14 @@ func Open(dir string) (*Log, error) {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	l := &Log{dir: dir}
+	l.cond = sync.NewCond(&l.mu)
 	if err := l.loadSnapshot(); err != nil {
 		return nil, err
 	}
 	if err := l.replayWAL(); err != nil {
 		return nil, err
 	}
+	l.synced = l.seq
 	return l, nil
 }
 
@@ -131,7 +149,7 @@ func (l *Log) TailTruncated() bool {
 	return l.truncated
 }
 
-// Seq returns the last committed sequence number.
+// Seq returns the last sequence number assigned.
 func (l *Log) Seq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -149,37 +167,92 @@ func (l *Log) AppendsSinceSnapshot() int {
 // Append commits one record: it is framed, written to the WAL and
 // fsynced before Append returns. The assigned sequence number is
 // returned.
-func (l *Log) Append(payload []byte) (uint64, error) { return l.append(payload, true) }
+func (l *Log) Append(payload []byte) (uint64, error) {
+	seq, err := l.AppendNoSync(payload)
+	if err != nil {
+		return 0, err
+	}
+	return seq, l.Sync(seq)
+}
 
-// AppendNoSync writes a record without forcing it to disk — for
-// advisory records (e.g. progress) where losing the tail on a crash is
-// acceptable. Ordering is preserved: any later synced Append flushes
-// earlier unsynced records first, and a torn tail is still detected
-// and truncated on recovery.
-func (l *Log) AppendNoSync(payload []byte) (uint64, error) { return l.append(payload, false) }
-
-func (l *Log) append(payload []byte, sync bool) (uint64, error) {
+// AppendNoSync writes a record without forcing it to disk: the first
+// half of a commit that Sync completes, or all of an advisory record
+// (e.g. progress) where losing the tail on a crash is acceptable.
+// Ordering is preserved: any later Sync flushes earlier unsynced records
+// first, and a torn tail is still detected and truncated on recovery.
+func (l *Log) AppendNoSync(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, errors.New("jobstore: log is closed")
+		return 0, errLogClosed
+	}
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	if len(payload) > maxRecordSize {
 		return 0, fmt.Errorf("jobstore: record of %d bytes exceeds the %d byte cap", len(payload), maxRecordSize)
 	}
 	seq := l.seq + 1
 	if _, err := l.wal.Write(frame(seq, payload)); err != nil {
-		return 0, fmt.Errorf("jobstore: append: %w", err)
-	}
-	if sync {
-		if err := l.wal.Sync(); err != nil {
-			return 0, fmt.Errorf("jobstore: fsync: %w", err)
-		}
+		l.failed = fmt.Errorf("jobstore: append: %w", err)
+		return 0, l.failed
 	}
 	l.seq = seq
 	l.appends++
 	return seq, nil
 }
+
+// Sync blocks until record seq is durable. One caller at a time fsyncs,
+// with the lock released, covering every record written before it
+// started; the rest wait for a sync that covers theirs. An fsync error
+// fails every record not yet durable and the log stays failed.
+func (l *Log) Sync(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.synced < seq {
+		switch {
+		case l.failed != nil:
+			return l.failed
+		case l.closed:
+			return errLogClosed
+		case l.syncing:
+			l.cond.Wait()
+		default:
+			l.syncLocked()
+		}
+	}
+	return nil
+}
+
+// syncLocked fsyncs the WAL with mu released and advances the durable
+// watermark over every record written before it started. Caller holds
+// l.mu and has seen no sync in flight; l.mu is held again on return.
+func (l *Log) syncLocked() {
+	l.syncing = true
+	target := l.seq
+	l.mu.Unlock()
+	l.syncs.Add(1)
+	err := l.wal.Sync()
+	l.mu.Lock()
+	l.syncing = false
+	if err != nil {
+		l.failed = fmt.Errorf("jobstore: fsync: %w", err)
+	} else if target > l.synced {
+		l.synced = target
+	}
+	l.cond.Broadcast()
+}
+
+// Synced returns the durable watermark: every record at or below it has
+// been fsynced or is covered by a snapshot.
+func (l *Log) Synced() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.synced
+}
+
+// Syncs counts the WAL fsyncs issued for commits since Open.
+func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
 // WriteSnapshot installs payload as the new snapshot covering every
 // record committed so far, then truncates the WAL. The install is
@@ -189,8 +262,14 @@ func (l *Log) append(payload []byte, sync bool) (uint64, error) {
 func (l *Log) WriteSnapshot(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.syncing {
+		l.cond.Wait()
+	}
 	if l.closed {
-		return errors.New("jobstore: log is closed")
+		return errLogClosed
+	}
+	if l.failed != nil {
+		return l.failed
 	}
 	tmp := filepath.Join(l.dir, snapshotTmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -215,6 +294,8 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 		return err
 	}
 	l.snapSeq = l.seq
+	l.synced = l.seq
+	l.cond.Broadcast()
 	// The WAL's records are now covered by the snapshot; drop them.
 	if err := l.wal.Truncate(0); err != nil {
 		return fmt.Errorf("jobstore: wal truncate: %w", err)
@@ -229,29 +310,42 @@ func (l *Log) WriteSnapshot(payload []byte) error {
 	return nil
 }
 
-// Close releases the WAL file handle. Append and WriteSnapshot fail
-// after Close; the recovered state remains readable.
+// Close fsyncs whatever AppendNoSync left unsynced, then releases the
+// WAL file handle. Append and WriteSnapshot fail after Close; the
+// recovered state remains readable.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.syncing {
+		l.cond.Wait()
+	}
 	if l.closed {
 		return nil
 	}
+	if l.synced < l.seq && l.failed == nil {
+		l.syncLocked()
+	}
 	l.closed = true
-	return l.wal.Close()
+	l.cond.Broadcast()
+	if err := l.wal.Close(); err != nil {
+		return err
+	}
+	return l.failed
 }
 
 // frame encodes one record: [len u32][seq u64][crc u32][payload].
 func frame(seq uint64, payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[4:12], seq)
-	crc := crc32.NewIEEE()
-	crc.Write(buf[4:12])
-	crc.Write(payload)
-	binary.LittleEndian.PutUint32(buf[12:16], crc.Sum32())
-	copy(buf[headerSize:], payload)
-	return buf
+	return appendFrame(make([]byte, 0, headerSize+len(payload)), seq, payload)
+}
+
+// appendFrame appends one record's frame to dst.
+func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[4:12], seq)
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[4:12]), crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(hdr[12:16], crc)
+	return append(append(dst, hdr[:]...), payload...)
 }
 
 // parseFrame decodes the frame at the start of data. ok is false when

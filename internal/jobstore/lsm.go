@@ -5,10 +5,13 @@
 //
 // Shape (classic log-structured merge tree, one level):
 //
-//   - Writes are framed into the current WAL segment (fsynced
-//     batch-atomically), then applied to the memtable. A batch's ops
-//     commit together or not at all: the batch is one CRC-framed WAL
-//     record.
+//   - Writes are group-committed. Stage frames a batch — one CRC-framed
+//     WAL record, so its ops commit together or not at all — assigns it
+//     the next sequence and appends it to an in-memory buffer; Wait makes
+//     the first waiter leader, which writes every frame staged so far
+//     with one write and one fsync outside the lock, applies the group to
+//     the memtable in sequence order and wakes the rest. Apply is Stage
+//     followed by Wait.
 //   - A checkpoint freezes the memtable behind an immutable view, opens
 //     a fresh WAL segment for subsequent commits, and flushes the frozen
 //     entries into an immutable sorted run — CRC-framed blocks, a block
@@ -45,6 +48,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -190,12 +194,30 @@ type LSM struct {
 	maintMu sync.Mutex
 	wg      sync.WaitGroup // background flushes and compactions
 
+	// Group commit state. walSeq (above) is the durable watermark: frames
+	// at or below it are fsynced and applied to the memtable. Frames
+	// staged but not yet written sit in stagedBuf (stagedOps holds their
+	// ops, flattened in sequence order).
+	// The baton is held by whoever is doing WAL I/O outside mu — a group
+	// leader writing and fsyncing, or a checkpoint rotating the segment —
+	// so the write head never changes under a write. cond (on mu) signals
+	// baton release, walSeq advance and failure.
+	cond      *sync.Cond
+	baton     bool
+	stagedBuf []byte
+	stagedOps []kvEntry
+	stagedSeq uint64 // last sequence Stage assigned; walSeq when nothing is staged
+	walSyncs  atomic.Uint64
+
 	boot       BootStats
 	compacting bool
 	closed     bool
-	// poisoned is set when an injected crash fired (possibly on a
-	// background flush): the simulated process is dead, so every
-	// subsequent mutation must fail until the store is reopened.
+	// poisoned makes the store fail-stop until it is reopened. It is set
+	// by any WAL write or fsync error — the segment may now end in a
+	// partial or unacknowledged frame, and a frame appended behind it
+	// would be cut off, or acknowledged ahead of it, by the next replay —
+	// and by an injected crash anywhere (possibly on a background flush):
+	// the simulated process is dead.
 	poisoned error
 }
 
@@ -220,6 +242,7 @@ func OpenLSM(cfg LSMConfig) (*LSM, error) {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	l := &LSM{cfg: cfg, dir: cfg.Dir, mem: newMemtable()}
+	l.cond = sync.NewCond(&l.mu)
 	if err := l.recover(); err != nil {
 		if l.wal != nil {
 			l.wal.Close()
@@ -232,6 +255,7 @@ func OpenLSM(cfg LSMConfig) (*LSM, error) {
 		}
 		return nil, err
 	}
+	l.stagedSeq = l.walSeq
 	return l, nil
 }
 
@@ -485,99 +509,183 @@ func (l *LSM) Delete(key string) error {
 	return l.Apply([]Op{{Key: key, Delete: true}})
 }
 
-// Apply commits a batch atomically: one CRC-framed WAL record holds
-// every op, so recovery sees all of them or none. When Apply returns
-// nil the batch is durable (unless NoSync). An error after the WAL
-// fsync (from checkpoint housekeeping) still means the batch itself
-// committed; callers that need to distinguish should reopen and read.
-// With OnlineCheckpoint set, a full memtable only starts a background
-// flush — Apply never waits for one.
+// Apply commits a batch atomically: Stage followed by Wait. When Apply
+// returns nil the batch is durable (unless NoSync). Concurrent callers
+// share fsyncs: whatever was staged while the previous group was being
+// written goes out as the next group. An error after the WAL fsync (from
+// checkpoint housekeeping) still means the batch itself committed;
+// callers that need to distinguish should reopen and read.
 func (l *LSM) Apply(batch []Op) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return errLSMClosed
-	}
-	if l.poisoned != nil {
-		err := l.poisoned
-		l.mu.Unlock()
+	seq, err := l.Stage(batch)
+	if err != nil {
 		return err
 	}
+	return l.Wait(seq)
+}
+
+// Stage frames a batch — one CRC-framed WAL record holds every op, so
+// recovery sees all of them or none — assigns it the next WAL sequence
+// and appends the frame to the pending buffer. It does no I/O. The batch
+// is neither durable nor visible to reads until Wait(seq) returns nil.
+// Frames reach the WAL in Stage order. An empty batch stages nothing and
+// returns sequence 0, which Wait treats as already durable.
+func (l *LSM) Stage(batch []Op) (uint64, error) {
+	if len(batch) == 0 {
+		return 0, nil
+	}
+	entries := make([]kvEntry, len(batch))
 	var payload []byte
-	for _, op := range batch {
+	for i, op := range batch {
 		if op.Key == "" {
-			l.mu.Unlock()
-			return errors.New("jobstore: empty key")
+			return 0, errors.New("jobstore: empty key")
 		}
-		payload = appendEntry(payload, kvEntry{key: op.Key, val: op.Value, del: op.Delete})
+		entries[i] = kvEntry{key: op.Key, val: op.Value, del: op.Delete}
+		payload = appendEntry(payload, entries[i])
 	}
 	if len(payload) > maxRecordSize {
-		l.mu.Unlock()
-		return fmt.Errorf("jobstore: batch of %d bytes exceeds the %d byte cap", len(payload), maxRecordSize)
+		return 0, fmt.Errorf("jobstore: batch of %d bytes exceeds the %d byte cap", len(payload), maxRecordSize)
 	}
-	seq := l.walSeq + 1
-	if err := tornWrite(l.wal, frame(seq, payload), FailWALWrite, l.cfg.Fail); err != nil {
-		l.notePoisonLocked(err)
-		l.mu.Unlock()
-		return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, errLSMClosed
 	}
-	if err := l.syncWAL(); err != nil {
-		l.notePoisonLocked(err)
-		l.mu.Unlock()
-		return err
+	if l.poisoned != nil {
+		return 0, l.poisoned
 	}
-	l.walSeq = seq
-	for _, op := range batch {
-		l.mem.apply(kvEntry{key: op.Key, val: op.Value, del: op.Delete})
-	}
-	over := l.mem.bytes >= l.cfg.MemtableBytes
-	if over && l.cfg.OnlineCheckpoint {
-		kickErr := l.kickCheckpointLocked()
-		if kickErr != nil && l.cfg.OnCheckpoint != nil {
-			// The batch is committed; a failed checkpoint *start* is a
-			// checkpoint failure, reported like a failed flush — on its
-			// own goroutine, because the Apply caller may hold locks the
-			// callback needs.
-			l.wg.Add(1)
-			go func() {
-				defer l.wg.Done()
-				l.cfg.OnCheckpoint(kickErr)
-			}()
+	l.stagedSeq++
+	l.stagedBuf = appendFrame(l.stagedBuf, l.stagedSeq, payload)
+	l.stagedOps = append(l.stagedOps, entries...)
+	return l.stagedSeq, nil
+}
+
+// Wait blocks until the frame Stage numbered seq is durable: fsynced
+// (unless NoSync) and applied to the memtable. The first waiter to find
+// the baton free becomes leader and flushes every frame staged so far —
+// its own included — as one group; the others sleep until a group covers
+// their sequence. There is no timer and no size limit: a lone frame goes
+// out at once, in one fsync. If a group's write or fsync fails, every
+// member of the group and every frame staged behind it gets the error,
+// and the store stays failed until it is reopened. With OnlineCheckpoint
+// set, a full memtable only starts a background flush — Wait never waits
+// for one.
+func (l *LSM) Wait(seq uint64) error {
+	l.mu.Lock()
+	for l.walSeq < seq {
+		switch {
+		case l.poisoned != nil:
+			err := l.poisoned
+			l.mu.Unlock()
+			return err
+		case l.closed:
+			l.mu.Unlock()
+			return errLSMClosed
+		case seq > l.stagedSeq:
+			l.mu.Unlock()
+			return fmt.Errorf("jobstore: sequence %d was never staged", seq)
+		case l.baton:
+			l.cond.Wait()
+		default:
+			l.flushStagedLocked()
 		}
+	}
+	if l.mem.bytes < l.cfg.MemtableBytes || l.inflight != nil || l.closed || l.poisoned != nil {
 		l.mu.Unlock()
 		return nil
 	}
-	l.mu.Unlock()
-	if over {
+	if !l.cfg.OnlineCheckpoint {
+		l.mu.Unlock()
 		return l.Checkpoint()
+	}
+	_, kickErr := l.kickCheckpointLocked()
+	l.mu.Unlock()
+	if kickErr != nil && l.cfg.OnCheckpoint != nil {
+		// The batch is committed; a failed checkpoint *start* is a
+		// checkpoint failure, reported like a failed flush.
+		l.cfg.OnCheckpoint(kickErr)
 	}
 	return nil
 }
 
-func (l *LSM) syncWAL() error {
+// DurableSeq returns the durable watermark: every frame Stage numbered at
+// or below it has been fsynced and applied.
+func (l *LSM) DurableSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.walSeq
+}
+
+// WALSyncs counts the WAL fsyncs group commit has issued since Open —
+// commits divided by it is the mean group size.
+func (l *LSM) WALSyncs() uint64 { return l.walSyncs.Load() }
+
+// flushStagedLocked is one leader turn: it takes the baton and the staged
+// frames, writes and fsyncs them with mu released, then applies the group
+// to the memtable in sequence order and advances the watermark — or, on
+// any error, fails the store. Caller holds l.mu, has seen the baton free
+// and frames staged; l.mu is held again on return.
+func (l *LSM) flushStagedLocked() error {
+	l.baton = true
+	buf, ops, last := l.stagedBuf, l.stagedOps, l.stagedSeq
+	l.stagedBuf, l.stagedOps = nil, nil
+	wal := l.wal
+	l.mu.Unlock()
+	err := tornWrite(wal, buf, FailWALWrite, l.cfg.Fail)
+	if err == nil {
+		err = l.syncWAL(wal)
+	}
+	l.mu.Lock()
+	l.baton = false
+	if err == nil {
+		// An injected crash on a background flush while this group was in
+		// flight: the process died, the group is not acknowledged.
+		err = l.poisoned
+	}
+	if err != nil {
+		l.failLocked(err)
+	} else {
+		for _, e := range ops {
+			l.mem.apply(e)
+		}
+		l.walSeq = last
+	}
+	l.cond.Broadcast()
+	return err
+}
+
+func (l *LSM) syncWAL(wal *os.File) error {
 	if err := l.cfg.Fail.fail(FailWALSync); err != nil {
 		return err
 	}
 	if l.cfg.NoSync {
 		return nil
 	}
-	if err := l.wal.Sync(); err != nil {
+	l.walSyncs.Add(1)
+	if err := wal.Sync(); err != nil {
 		return fmt.Errorf("jobstore: wal fsync: %w", err)
 	}
 	return nil
 }
 
-// notePoisonLocked records an injected crash: the simulated process is
-// dead, so until reopen every mutation fails with the crash error —
-// nothing may be acknowledged after the point of death. Real storage
-// errors do not poison; the store rolls the failed operation back and
-// keeps serving. Caller holds l.mu.
-func (l *LSM) notePoisonLocked(err error) {
-	if err != nil && errors.Is(err, ErrInjectedCrash) && l.poisoned == nil {
+// failLocked makes the store fail-stop after a WAL write or fsync error:
+// the frames still staged can never be acknowledged, so they are dropped
+// and their waiters get err. Caller holds l.mu.
+func (l *LSM) failLocked(err error) {
+	if l.poisoned == nil {
 		l.poisoned = err
+	}
+	l.stagedBuf, l.stagedOps = nil, nil
+}
+
+// notePoisonLocked records an injected crash off the commit path (a
+// checkpoint flush, a compaction): the simulated process is dead, so
+// nothing may be acknowledged after the point of death. Real errors there
+// do not poison — the frozen memtable merges back, the old manifest
+// stands, and the store keeps serving. Caller holds l.mu.
+func (l *LSM) notePoisonLocked(err error) {
+	if err != nil && errors.Is(err, ErrInjectedCrash) {
+		l.failLocked(err)
+		l.cond.Broadcast()
 	}
 }
 
@@ -710,45 +818,60 @@ func (l *LSM) scanLocked(lo, hi string, fn func(key string, value []byte) bool) 
 	}
 }
 
-// rotateWALLocked opens a fresh segment as the write head and retires
-// the current one into oldSegs. Caller holds l.mu.
-func (l *LSM) rotateWALLocked() error {
+// openNextSegment creates WAL segment id and makes its directory entry
+// durable — it must be, before any acknowledged write lands in the file.
+func (l *LSM) openNextSegment(id uint64) (*os.File, error) {
 	if err := l.cfg.Fail.fail(FailWALRotate); err != nil {
-		return err
+		return nil, err
 	}
-	id := l.walID + 1
 	path := filepath.Join(l.dir, segmentFileName(id))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("jobstore: wal rotate: %w", err)
+		return nil, fmt.Errorf("jobstore: wal rotate: %w", err)
 	}
-	// The new segment's directory entry must be durable before any
-	// acknowledged write lands in it.
 	if err := l.syncDirFP(); err != nil {
 		f.Close()
 		os.Remove(path)
-		return err
+		return nil, err
+	}
+	return f, nil
+}
+
+// startCheckpointLocked freezes the memtable behind an immutable view
+// and rotates the WAL segment — the only checkpoint work the commit path
+// ever sees. It takes the leader baton, so no group is mid-write on the
+// old segment and the watermark stands still, and releases l.mu while the
+// new segment is created: Stage keeps accepting frames, which the next
+// leader writes to the new segment. It returns the flush job to run, or
+// nil when there is nothing to do (empty memtable, or a checkpoint
+// already in flight). Caller holds l.mu, which is held again on return.
+func (l *LSM) startCheckpointLocked() (*ckptJob, error) {
+	for l.baton {
+		l.cond.Wait()
+	}
+	switch {
+	case l.closed:
+		return nil, errLSMClosed
+	case l.poisoned != nil:
+		return nil, l.poisoned
+	case l.inflight != nil || l.mem.len() == 0:
+		return nil, nil
+	}
+	l.baton = true
+	id := l.walID + 1
+	l.mu.Unlock()
+	f, err := l.openNextSegment(id)
+	l.mu.Lock()
+	l.baton = false
+	defer l.cond.Broadcast()
+	if err != nil {
+		l.notePoisonLocked(err)
+		return nil, err
 	}
 	l.oldSegs = append(l.oldSegs, walSegment{id: l.walID, maxSeq: l.walSeq})
 	l.wal.Close()
 	l.wal = f
 	l.walID = id
-	return nil
-}
-
-// startCheckpointLocked freezes the memtable behind an immutable view
-// and rotates the WAL segment — the only checkpoint work the commit
-// lock ever covers. It returns the flush job to run (nil when the
-// memtable is empty). Caller holds l.mu and has checked closed,
-// poisoned and inflight.
-func (l *LSM) startCheckpointLocked() (*ckptJob, error) {
-	if l.mem.len() == 0 {
-		return nil, nil
-	}
-	if err := l.rotateWALLocked(); err != nil {
-		l.notePoisonLocked(err)
-		return nil, err
-	}
 	job := &ckptJob{done: make(chan struct{})}
 	l.frozen = l.mem
 	l.frozenSeq = l.walSeq
@@ -757,23 +880,21 @@ func (l *LSM) startCheckpointLocked() (*ckptJob, error) {
 	return job, nil
 }
 
-// kickCheckpointLocked starts a background checkpoint flush if none is
-// in flight. A returned error means the checkpoint failed to start; the
-// triggering commit is unaffected. Caller holds l.mu.
-func (l *LSM) kickCheckpointLocked() error {
-	if l.inflight != nil {
-		return nil
-	}
+// kickCheckpointLocked starts a background checkpoint flush, reporting
+// started=false when there is nothing to flush or one is already in
+// flight. An error means the checkpoint failed to start; commits are
+// unaffected. Caller holds l.mu.
+func (l *LSM) kickCheckpointLocked() (started bool, err error) {
 	job, err := l.startCheckpointLocked()
-	if job == nil || err != nil {
-		return err
+	if job == nil {
+		return false, err
 	}
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
 		l.flush(job)
 	}()
-	return nil
+	return true, nil
 }
 
 // Checkpoint flushes the memtable into a new sorted run, installs a
@@ -785,16 +906,7 @@ func (l *LSM) kickCheckpointLocked() error {
 func (l *LSM) Checkpoint() error {
 	for {
 		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return errLSMClosed
-		}
-		if l.poisoned != nil {
-			err := l.poisoned
-			l.mu.Unlock()
-			return err
-		}
-		if cur := l.inflight; cur != nil {
+		if cur := l.inflight; cur != nil && !l.closed && l.poisoned == nil {
 			l.mu.Unlock()
 			<-cur.done
 			if cur.err != nil {
@@ -802,25 +914,31 @@ func (l *LSM) Checkpoint() error {
 			}
 			continue
 		}
-		if l.mem.len() == 0 {
-			needCompact := len(l.runs) > l.cfg.MaxRuns
-			if needCompact && l.cfg.BackgroundCompaction {
-				l.kickCompaction()
-				needCompact = false
-			}
-			l.mu.Unlock()
-			if needCompact {
-				return l.Compact()
-			}
-			return nil
-		}
 		job, err := l.startCheckpointLocked()
-		l.mu.Unlock()
-		if err != nil {
-			return err
+		if job != nil || err != nil {
+			l.mu.Unlock()
+			if err != nil {
+				return err
+			}
+			l.flush(job)
+			return job.err
 		}
-		l.flush(job)
-		return job.err
+		if l.inflight != nil {
+			// Another checkpoint started while this one waited for the
+			// baton; go round and wait for it.
+			l.mu.Unlock()
+			continue
+		}
+		needCompact := len(l.runs) > l.cfg.MaxRuns
+		if needCompact && l.cfg.BackgroundCompaction {
+			l.kickCompaction()
+			needCompact = false
+		}
+		l.mu.Unlock()
+		if needCompact {
+			return l.Compact()
+		}
+		return nil
 	}
 }
 
@@ -831,31 +949,8 @@ func (l *LSM) Checkpoint() error {
 // even start (its freeze or WAL rotation failed).
 func (l *LSM) CheckpointAsync() (started bool, err error) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return false, errLSMClosed
-	}
-	if l.poisoned != nil {
-		err := l.poisoned
-		l.mu.Unlock()
-		return false, err
-	}
-	if l.inflight != nil || l.mem.len() == 0 {
-		l.mu.Unlock()
-		return false, nil
-	}
-	job, err := l.startCheckpointLocked()
-	if job == nil || err != nil {
-		l.mu.Unlock()
-		return false, err
-	}
-	l.wg.Add(1)
-	l.mu.Unlock()
-	go func() {
-		defer l.wg.Done()
-		l.flush(job)
-	}()
-	return true, nil
+	defer l.mu.Unlock()
+	return l.kickCheckpointLocked()
 }
 
 // Quiesce blocks until no checkpoint flush is in flight. New
@@ -1159,6 +1254,7 @@ func (l *LSM) compactLocked() error {
 }
 
 // mergeRuns k-way merges every run, newest-wins, dropping tombstones.
+// Each round emits the minimum key left, so the output is ascending.
 func (l *LSM) mergeRuns() ([]kvEntry, error) {
 	var out []kvEntry
 	type src struct {
@@ -1187,7 +1283,6 @@ func (l *LSM) mergeRuns() ([]kvEntry, error) {
 			}
 		}
 		if !found {
-			sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 			return out, nil
 		}
 		taken := false
@@ -1208,23 +1303,36 @@ func (l *LSM) mergeRuns() ([]kvEntry, error) {
 	}
 }
 
-// Close drains in-flight checkpoint flushes and compactions, then
-// releases the WAL handle, run readers and the store lock. Mutations
-// fail after Close. Close is idempotent.
+// Close flushes every staged frame (Close leaves nothing staged: a frame
+// nobody waited for, such as an advisory write, still reaches disk),
+// drains in-flight checkpoint flushes and compactions, then releases the
+// WAL handle, run readers and the store lock. Mutations fail after
+// Close. Close is idempotent.
 func (l *LSM) Close() error {
+	var first error
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
+	for {
+		if l.closed {
+			l.mu.Unlock()
+			return nil
+		}
+		if l.baton {
+			l.cond.Wait()
+			continue
+		}
+		if len(l.stagedBuf) == 0 || l.poisoned != nil {
+			break
+		}
+		first = l.flushStagedLocked()
 	}
 	l.closed = true
+	l.cond.Broadcast()
 	l.mu.Unlock()
 	// No locks held while draining: a background flush needs both
 	// maintMu and mu to finish.
 	l.wg.Wait()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var first error
 	for _, r := range l.runs {
 		if err := r.close(); err != nil && first == nil {
 			first = err

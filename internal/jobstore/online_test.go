@@ -313,3 +313,8 @@ func TestLSMOnlineCrashEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestLSMOnlineGroupCrashEquivalence is the group-commit sweep with
+// background checkpointing on, so crashes also land inside a flush that
+// runs while groups are being committed.
+func TestLSMOnlineGroupCrashEquivalence(t *testing.T) { groupCrashSweep(t, true) }

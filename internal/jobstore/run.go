@@ -239,7 +239,7 @@ func tornWrite(w io.Writer, b []byte, point string, fail FailFunc) error {
 		return err
 	}
 	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("jobstore: run write: %w", err)
+		return fmt.Errorf("jobstore: %s: %w", point, err)
 	}
 	return nil
 }

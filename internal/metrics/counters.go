@@ -110,6 +110,9 @@ const (
 	// (the store keeps serving; the failed checkpoint is retried on the
 	// next commit).
 	CounterCheckpointFailures = "checkpoint_failures"
+	// CounterWALFsyncs counts commit-path WAL fsyncs (durable services
+	// only); wal_appends divided by it is the mean group-commit size.
+	CounterWALFsyncs = "wal_fsyncs"
 )
 
 // Counter names published by the standing-query stream subsystem.
