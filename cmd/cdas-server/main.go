@@ -48,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -78,6 +79,25 @@ func budgetLines(b jobs.BudgetState) map[string]scheduler.JobBudget {
 		out[name] = scheduler.JobBudget{Spent: spent}
 	}
 	return out
+}
+
+// runnerByKind routes a claimed job to its kind's runner. Submit
+// validation accepts kinds this server has no runner for (imagetag,
+// custom); such a job fails permanently instead of being executed as
+// some other kind's query.
+func runnerByKind(tsaRunner, standingRunner, enumRunner jobs.Runner) jobs.Runner {
+	return func(ctx context.Context, job jobs.Job, report func(progress, cost float64)) error {
+		switch job.Kind {
+		case jobs.KindTSA:
+			return tsaRunner(ctx, job, report)
+		case jobs.KindContinuous:
+			return standingRunner(ctx, job, report)
+		case jobs.KindEnumeration:
+			return enumRunner(ctx, job, report)
+		default:
+			return fmt.Errorf("%w: cdas-server: no runner for kind %q", jobs.ErrPermanent, job.Kind)
+		}
+	}
 }
 
 func main() {
@@ -192,16 +212,7 @@ func run(addr string, seed uint64, accuracy float64, inflight int, store, storeE
 		Counters: counters,
 		Publish:  api.EnumPublisher(),
 	})
-	runner := func(ctx context.Context, job jobs.Job, report func(progress, cost float64)) error {
-		switch job.Kind {
-		case jobs.KindContinuous:
-			return standingRunner(ctx, job, report)
-		case jobs.KindEnumeration:
-			return enumRunner(ctx, job, report)
-		}
-		return tsaRunner(ctx, job, report)
-	}
-	disp, err := jobs.NewDispatcher(svc, runner, dispatchers)
+	disp, err := jobs.NewDispatcher(svc, runnerByKind(tsaRunner, standingRunner, enumRunner), dispatchers)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -695,5 +697,5 @@ func allTerminated(fs map[string]aggregate.Folder, s online.Strategy) bool {
 
 func sortResults(rs []QuestionResult) {
 	// Deterministic output order by question ID.
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Question.ID < rs[j].Question.ID })
+	slices.SortFunc(rs, func(a, b QuestionResult) int { return strings.Compare(a.Question.ID, b.Question.ID) })
 }

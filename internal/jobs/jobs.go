@@ -54,10 +54,13 @@ func (q Query) Validate() error {
 // inside the query's keyword filter and time window — the computer-side
 // filter the program executor applies to the stream.
 func (q Query) Matches(text string, at time.Time) bool {
-	if at.Before(q.Start) || !at.Before(q.Start.Add(q.Window)) {
-		return false
-	}
-	return textutil.ContainsAny(text, q.Keywords)
+	return q.InWindow(at) && textutil.ContainsAny(text, q.Keywords)
+}
+
+// InWindow reports whether at falls inside the query's half-open time
+// window [Start, Start+Window).
+func (q Query) InWindow(at time.Time) bool {
+	return !at.Before(q.Start) && at.Before(q.Start.Add(q.Window))
 }
 
 // Kind identifies the application type of a job, selecting its plan

@@ -101,3 +101,24 @@ func BenchmarkSchedulerContention(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSchedulerEnqueue measures the identity work of one large
+// request — the benchmark's fan-out job: 4 096 questions, every one
+// carrying its own copy of the same answer set.
+func BenchmarkSchedulerEnqueue(b *testing.B) {
+	qs := make([]crowd.Question, 4096)
+	for i := range qs {
+		qs[i] = uniqueQuestion("fanout", i)
+		qs[i].Domain = append([]string(nil), testDomain...)
+	}
+	s := benchScheduler(b, 1, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Enqueue(Request{Job: "fanout", Questions: qs}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(qs))/b.Elapsed().Seconds()*float64(b.N), "questions/s")
+}

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"cdas/internal/crowd"
 )
@@ -31,8 +32,64 @@ import (
 const hashHexLen = 16
 
 // NormalizeText canonicalises a prompt: lower-cased, whitespace runs
-// collapsed to single spaces, leading and trailing space trimmed.
+// collapsed to single spaces, leading and trailing space trimmed. Text
+// that is already canonical ASCII — the scheduler's own output, and
+// most domain entries — is returned as is, without allocating.
 func NormalizeText(s string) string {
+	// Stop at the first byte canonicalisation would change: an upper-case
+	// letter, or white space other than one ' ' between two words.
+	i := 0
+	for ; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return normalizeUnicode(s)
+		}
+		if 'A' <= c && c <= 'Z' {
+			break
+		}
+		if isASCIISpace(c) && (c != ' ' || i == 0 || s[i-1] == ' ' || i == len(s)-1) {
+			break
+		}
+	}
+	if i == len(s) {
+		return s
+	}
+	if i > 0 && s[i-1] == ' ' {
+		i-- // that space opens the run the loop below collapses
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	b.WriteString(s[:i])
+	space := false
+	for ; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return normalizeUnicode(s)
+		}
+		if isASCIISpace(c) {
+			space = b.Len() > 0
+			continue
+		}
+		if space {
+			b.WriteByte(' ')
+			space = false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+// isASCIISpace is unicode.IsSpace restricted to ASCII.
+func isASCIISpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r'
+}
+
+// normalizeUnicode is NormalizeText for text with bytes outside ASCII,
+// where case and space are properties of runes.
+func normalizeUnicode(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	space := false
@@ -95,7 +152,15 @@ func DomainKey(domain []string) string {
 // questions over distinct canonical domains never collide, because the
 // domain hash is a dedicated prefix.
 func QuestionKey(q crowd.Question) string {
-	return DomainKey(q.Domain) + "/" + hashStrings([]string{NormalizeText(q.Text)})
+	return questionKey(DomainKey(q.Domain), q.Text)
+}
+
+// questionKey joins a domain key — aggregator-qualified or not — and
+// the hash of the prompt's canonical text. Enqueue calls it directly
+// with the domain key it derived once for a run of questions over one
+// domain.
+func questionKey(domainKey, text string) string {
+	return domainKey + "/" + hashStrings([]string{NormalizeText(text)})
 }
 
 // ItemKey is the dedup key of one free-text enumeration answer: the
@@ -116,13 +181,43 @@ func ItemKey(text string) string {
 // subscriber's verdict must be translated back into its own domain
 // strings before its presentation layer counts votes.
 func MapAnswer(answer string, domain []string) string {
-	norm := NormalizeText(answer)
+	return newSpelling(domain).of(answer)
+}
+
+// spelling is MapAnswer prepared for one domain: each entry is
+// canonicalised once, and each distinct answer once.
+type spelling struct {
+	domain []string          // the domain the table was built from
+	canon  map[string]string // canonical form -> first domain entry with it
+	memo   map[string]string // answer as the crowd returned it -> the caller's spelling
+}
+
+func newSpelling(domain []string) *spelling {
+	sp := &spelling{
+		domain: domain,
+		canon:  make(map[string]string, len(domain)),
+		memo:   make(map[string]string, len(domain)),
+	}
 	for _, d := range domain {
-		if NormalizeText(d) == norm {
-			return d
+		n := NormalizeText(d)
+		if _, dup := sp.canon[n]; !dup {
+			sp.canon[n] = d
 		}
 	}
-	return answer
+	return sp
+}
+
+// of returns MapAnswer(answer, sp.domain).
+func (sp *spelling) of(answer string) string {
+	if out, ok := sp.memo[answer]; ok {
+		return out
+	}
+	out, ok := sp.canon[NormalizeText(answer)]
+	if !ok {
+		out = answer
+	}
+	sp.memo[answer] = out
+	return out
 }
 
 // CanonicalID is the question ID the scheduler publishes a deduplicated

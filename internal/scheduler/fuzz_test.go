@@ -92,3 +92,46 @@ func sameCanonicalDomain(a, b []string) bool {
 	}
 	return true
 }
+
+// FuzzNormalizeText: the ASCII paths — return the argument untouched,
+// or fold and collapse byte-wise — must agree with the rune-wise path
+// they short-cut, on every input, and the result must be a fixed point
+// (canonical text is what the zero-allocation path recognises).
+func FuzzNormalizeText(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "a", "A", "a b", "a  b", " a", "a ", "a \tb", "a \t", "\ta", "a\tb", "a\vb\fc\r\n",
+		"Hello World", "already canonical", "trailing space ", "MiXeD   Case", "x \u00a0y", "\u212aelvin", "İstanbul",
+		"ascii then ünïcode", "ASCII Then Ünïcode", "bad utf8 \xff here", "a\x85b", "\x00 \x7f",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got := NormalizeText(s)
+		if want := normalizeUnicode(s); got != want {
+			t.Fatalf("NormalizeText(%q) = %q, the rune-wise path says %q", s, got, want)
+		}
+		if again := NormalizeText(got); again != got {
+			t.Errorf("NormalizeText(%q) = %q is not a fixed point: renormalises to %q", s, got, again)
+		}
+	})
+}
+
+// TestNormalizeTextSmallStrings runs FuzzNormalizeText's agreement check
+// over every string of up to six symbols from an alphabet with one of
+// each kind of byte the ASCII paths tell apart.
+func TestNormalizeTextSmallStrings(t *testing.T) {
+	alphabet := []string{"a", "Z", " ", "\t", "é"}
+	var walk func(s string, depth int)
+	walk = func(s string, depth int) {
+		if got, want := NormalizeText(s), normalizeUnicode(s); got != want {
+			t.Errorf("NormalizeText(%q) = %q, the rune-wise path says %q", s, got, want)
+		}
+		if depth == 0 {
+			return
+		}
+		for _, a := range alphabet {
+			walk(s+a, depth-1)
+		}
+	}
+	walk("", 6)
+}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -166,6 +167,18 @@ type Ticket struct {
 	// done closes.
 	res JobResult
 	err error
+	// spell translates verdicts into the domain spelling of the question
+	// last fanned out to this ticket; only the flush touches it.
+	spell *spelling
+}
+
+// spelling returns the ticket's MapAnswer table for domain, rebuilt only
+// when domain differs from the previous call's.
+func (t *Ticket) spelling(domain []string) *spelling {
+	if t.spell == nil || !slices.Equal(domain, t.spell.domain) {
+		t.spell = newSpelling(domain)
+	}
+	return t.spell
 }
 
 // Wait blocks until the request resolves or ctx is done. A parked job
@@ -334,6 +347,10 @@ func (s *Scheduler) Enqueue(req Request) (*Ticket, error) {
 	}
 	keys := make([]slotRef, len(req.Questions))
 	ids := make(map[string]struct{}, len(req.Questions))
+	// A request's questions usually share one answer set, each holding
+	// its own copy: hash the set once per run of equal domains.
+	var dk string
+	var dkOf []string
 	for i, q := range req.Questions {
 		if q.ID == "" {
 			return nil, errors.New("scheduler: question needs an ID")
@@ -345,7 +362,10 @@ func (s *Scheduler) Enqueue(req Request) (*Ticket, error) {
 		if len(q.Domain) < 2 {
 			return nil, fmt.Errorf("scheduler: question %q needs a domain of >= 2 answers", q.ID)
 		}
-		ref := slotRef{key: aggPrefix + QuestionKey(q), dk: aggPrefix + DomainKey(q.Domain)}
+		if i == 0 || !slices.Equal(q.Domain, dkOf) {
+			dk, dkOf = aggPrefix+DomainKey(q.Domain), q.Domain
+		}
+		ref := slotRef{key: questionKey(dk, q.Text), dk: dk}
 		ref.slotKey = ref.key
 		if s.cfg.DisableDedup {
 			// Job- and ID-qualified: no coalescing at all, neither
@@ -464,8 +484,8 @@ func (s *Scheduler) Flush(ctx context.Context) error {
 			// ticket that somehow escaped the per-batch marking.
 			t.err = firstErr
 		}
-		sort.Slice(t.res.Results, func(i, j int) bool {
-			return t.res.Results[i].Question.ID < t.res.Results[j].Question.ID
+		slices.SortFunc(t.res.Results, func(a, b engine.QuestionResult) int {
+			return strings.Compare(a.Question.ID, b.Question.ID)
 		})
 		if s.cfg.OnCharge != nil && t.res.Cost > 0 {
 			s.cfg.OnCharge(t.req.Job, t.res.Cost)
@@ -527,7 +547,7 @@ func (s *Scheduler) plan(groups map[string]*group, t *Ticket, dryRun bool, tl *g
 					t.res.CacheHits++
 					t.res.Results = append(t.res.Results, engine.QuestionResult{
 						Question:   q,
-						Answer:     MapAnswer(hit.Answer, q.Domain),
+						Answer:     t.spelling(q.Domain).of(hit.Answer),
 						Confidence: hit.Confidence,
 						Votes:      hit.Votes,
 					})
@@ -655,7 +675,7 @@ func (s *Scheduler) collectGroup(ctx context.Context, g *group) *groupOutcome {
 	for _, sl := range g.slots {
 		oc.ordered = append(oc.ordered, sl)
 	}
-	sort.Slice(oc.ordered, func(i, j int) bool { return oc.ordered[i].key < oc.ordered[j].key })
+	slices.SortFunc(oc.ordered, func(a, b *slot) int { return strings.Compare(a.key, b.key) })
 	questions := make([]crowd.Question, len(oc.ordered))
 	oc.byID = make(map[string]*slot, len(oc.ordered))
 	for i, sl := range oc.ordered {
@@ -749,11 +769,12 @@ func (s *Scheduler) distributeGroup(oc *groupOutcome, tl *genTally) error {
 				out.Question = sub.orig
 				// Translate the verdict into the subscriber's own domain
 				// spelling — the crowd saw the canonical form.
-				out.Answer = MapAnswer(qr.Answer, sub.orig.Domain)
+				spell := sub.ticket.spelling(sub.orig.Domain)
+				out.Answer = spell.of(qr.Answer)
 				if len(qr.Ranked) > 0 {
 					ranked := make([]verification.Scored, len(qr.Ranked))
 					for r, sc := range qr.Ranked {
-						sc.Answer = MapAnswer(sc.Answer, sub.orig.Domain)
+						sc.Answer = spell.of(sc.Answer)
 						ranked[r] = sc
 					}
 					out.Ranked = ranked

@@ -108,6 +108,9 @@ type Processor struct {
 	fill     time.Duration
 	capacity int // per-window question cap before shedding
 	backlogN int // max buffered matched items across open windows
+	// keywords is the query's keyword filter, folded once instead of
+	// per arriving item.
+	keywords textutil.Keywords
 
 	windows  map[int]*window
 	next     int // lowest unclosed window index
@@ -147,6 +150,7 @@ func NewProcessor(cfg Config) (*Processor, error) {
 		fill:     spec.TargetFill,
 		capacity: spec.WindowCapacity,
 		backlogN: spec.MaxBacklog,
+		keywords: textutil.FoldKeywords(cfg.Job.Query.Keywords),
 		windows:  make(map[int]*window),
 		next:     cfg.Resume.Window + 1,
 		prevRate: spec.Rate,
@@ -211,7 +215,7 @@ func (p *Processor) windowStart(idx int) time.Time {
 // the upper time bound removed — a standing query has no end time.
 func (p *Processor) matches(it exec.Item) bool {
 	return !it.At.Before(p.cfg.Job.Query.Start) &&
-		textutil.ContainsAny(it.Text, p.cfg.Job.Query.Keywords)
+		p.keywords.In(textutil.Fold(it.Text))
 }
 
 // openWindow fixes the window's batch size and capacity the moment it

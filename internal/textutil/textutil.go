@@ -53,20 +53,43 @@ func ContentTokens(text string) []string {
 	return out
 }
 
-// ContainsAny reports whether text contains any of the keywords,
-// case-insensitively, as a substring match (the paper's executor checks
-// "whether the query keyword exists in a tweet").
-func ContainsAny(text string, keywords []string) bool {
-	lower := strings.ToLower(text)
+// Fold case-folds s the way the keyword matcher compares text. A filter
+// that outlives one comparison folds each side once — tsa.Stream its
+// tweets, a standing query its keywords — and compares with
+// Keywords.In.
+func Fold(s string) string { return strings.ToLower(s) }
+
+// Keywords is a keyword list prepared for matching: every keyword
+// folded, empty ones dropped.
+type Keywords []string
+
+// FoldKeywords prepares keywords for Keywords.In.
+func FoldKeywords(keywords []string) Keywords {
+	out := make(Keywords, 0, len(keywords))
 	for _, k := range keywords {
-		if k == "" {
-			continue
+		if k != "" {
+			out = append(out, Fold(k))
 		}
-		if strings.Contains(lower, strings.ToLower(k)) {
+	}
+	return out
+}
+
+// In reports whether folded — text already passed through Fold —
+// contains any of the keywords as a substring.
+func (ks Keywords) In(folded string) bool {
+	for _, k := range ks {
+		if strings.Contains(folded, k) {
 			return true
 		}
 	}
 	return false
+}
+
+// ContainsAny reports whether text contains any of the keywords,
+// case-insensitively, as a substring match (the paper's executor checks
+// "whether the query keyword exists in a tweet").
+func ContainsAny(text string, keywords []string) bool {
+	return FoldKeywords(keywords).In(Fold(text))
 }
 
 // Hash32 is allocation-free FNV-1a over s — the stripe selector shared

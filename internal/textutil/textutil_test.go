@@ -62,10 +62,18 @@ func TestContainsAny(t *testing.T) {
 		{"nothing relevant", []string{"iphone"}, false},
 		{"empty keyword is skipped", []string{""}, false},
 		{"multi keyword", []string{"zzz", "keyword"}, true},
+		// Folding is Unicode's, not byte-wise: the Kelvin sign is a k.
+		{"300 \u212a", []string{"k"}, true},
+		{"\u0130stanbul", []string{"\u0130STANBUL"}, true},
+		{"istanbul", []string{"\u0131stanbul"}, false}, // dotless ı folds to itself
 	}
 	for _, c := range cases {
 		if got := ContainsAny(c.text, c.keywords); got != c.want {
 			t.Errorf("ContainsAny(%q, %v) = %v, want %v", c.text, c.keywords, got, c.want)
+		}
+		// The prepared form a long-lived filter keeps is the same matcher.
+		if got := FoldKeywords(c.keywords).In(Fold(c.text)); got != c.want {
+			t.Errorf("FoldKeywords(%v).In(Fold(%q)) = %v, want %v", c.keywords, c.text, got, c.want)
 		}
 	}
 }

@@ -53,6 +53,7 @@ type RunnerConfig struct {
 // jobs and reproducible across restarts — a job re-run after a crash
 // replays the same simulation.
 func NewJobRunner(cfg RunnerConfig) jobs.Runner {
+	stream := NewStream(cfg.Stream)
 	return func(ctx context.Context, job jobs.Job, report func(progress, cost float64)) error {
 		ecfg := cfg.Engine
 		ecfg.JobName = job.Name
@@ -71,7 +72,7 @@ func NewJobRunner(cfg RunnerConfig) jobs.Runner {
 			// deterministic, so don't burn retries on it.
 			return fmt.Errorf("%w: %w", jobs.ErrPermanent, derr)
 		}
-		m := Match(job.Query, cfg.Stream)
+		m := stream.Match(job.Query)
 		if len(m.Tweets) == 0 {
 			// A keyword filter matching nothing is deterministic too.
 			return fmt.Errorf("%w: tsa: no tweets matched query %v", jobs.ErrPermanent, job.Query.Keywords)

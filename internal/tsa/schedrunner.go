@@ -50,6 +50,7 @@ func NewScheduledJobRunner(cfg ScheduledRunnerConfig) jobs.Runner {
 	// knob here would be one flag-sync bug away from silently
 	// under-verifying.
 	serviceAcc := cfg.Scheduler.ServiceAccuracy()
+	stream := NewStream(cfg.Stream)
 	return func(ctx context.Context, job jobs.Job, report func(progress, cost float64)) error {
 		if job.Query.RequiredAccuracy > serviceAcc+1e-9 {
 			// The shared engine verifies every question to the service
@@ -63,7 +64,7 @@ func NewScheduledJobRunner(cfg ScheduledRunnerConfig) jobs.Runner {
 			// deterministic, so don't burn retries on it.
 			return fmt.Errorf("%w: %w", jobs.ErrPermanent, derr)
 		}
-		m := Match(job.Query, cfg.Stream)
+		m := stream.Match(job.Query)
 		if len(m.Tweets) == 0 {
 			// A keyword filter matching nothing is deterministic: retrying
 			// replays the same outcome.

@@ -1,0 +1,227 @@
+package tsa
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"cdas/internal/jobs"
+	"cdas/internal/textgen"
+)
+
+// refFilter is the executor's filter as it stood before Stream: the
+// query's window and a case-insensitive substring test, lower-casing
+// the tweet and every keyword again for each tweet.
+func refFilter(tweets []textgen.Tweet, q jobs.Query) []textgen.Tweet {
+	var out []textgen.Tweet
+	for _, t := range tweets {
+		if t.At.Before(q.Start) || !t.At.Before(q.Start.Add(q.Window)) {
+			continue
+		}
+		lower := strings.ToLower(t.Text)
+		for _, k := range q.Keywords {
+			if k != "" && strings.Contains(lower, strings.ToLower(k)) {
+				out = append(out, t)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// checkAgainstReference compares every entry point — prepared and
+// one-shot, Filter and Match — with refFilter on one query.
+func checkAgainstReference(t *testing.T, s *Stream, tweets []textgen.Tweet, q jobs.Query) {
+	t.Helper()
+	want := refFilter(tweets, q)
+	if got := s.Filter(q); !sameTweets(got, want) {
+		t.Errorf("Stream.Filter(%q, %v+%v) = %v, reference says %v", q.Keywords, q.Start, q.Window, ids(got), ids(want))
+	}
+	if got := FilterTweets(tweets, q); !sameTweets(got, want) {
+		t.Errorf("FilterTweets(%q) = %v, reference says %v", q.Keywords, ids(got), ids(want))
+	}
+	texts, truths := map[string]string{}, map[string]string{}
+	for _, tw := range want {
+		texts[tw.ID], truths[tw.ID] = tw.Text, tw.Truth
+	}
+	for name, m := range map[string]Matched{"Stream.Match": s.Match(q), "Match": Match(q, tweets)} {
+		if !sameTweets(m.Tweets, want) || !reflect.DeepEqual(m.Texts, texts) || !reflect.DeepEqual(m.Truths, truths) {
+			t.Errorf("%s(%q) = %v with %d texts and %d truths, reference says %v",
+				name, q.Keywords, ids(m.Tweets), len(m.Texts), len(m.Truths), ids(want))
+		}
+	}
+}
+
+func sameTweets(a, b []textgen.Tweet) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+func ids(tweets []textgen.Tweet) []string {
+	out := make([]string, len(tweets))
+	for i, t := range tweets {
+		out[i] = t.ID
+	}
+	return out
+}
+
+// tweetsFrom builds a stream of one tweet per text, a minute apart from
+// queryStart, so window arguments in minutes cut it at known places.
+func tweetsFrom(texts []string) []textgen.Tweet {
+	tweets := make([]textgen.Tweet, len(texts))
+	for i, text := range texts {
+		tweets[i] = textgen.Tweet{
+			ID:    fmt.Sprintf("t%03d", i),
+			Text:  text,
+			Truth: textgen.Labels[i%len(textgen.Labels)],
+			At:    queryStart.Add(time.Duration(i) * time.Minute),
+		}
+	}
+	return tweets
+}
+
+// FuzzStreamMatch: the prepared stream selects exactly what the
+// per-tweet filter selected, whatever the text — including runes whose
+// lower-case form has another length (the Kelvin sign and İ shrink, Ⱥ
+// grows), which move every later tweet's place in the folded buffer,
+// and text where a keyword straddles two neighbouring tweets.
+func FuzzStreamMatch(f *testing.F) {
+	f.Add("Thor was great\nhated THOR\nnothing here", "thor", int64(0), int64(60))
+	f.Add("first\nsecond\nthird\nfourth", "IR|d", int64(1), int64(2))
+	f.Add("ab\ncd", "bc|abcd", int64(0), int64(10))      // no match across a tweet boundary
+	f.Add("one\ntwo", "||one|one|", int64(0), int64(10)) // empty and duplicate keywords
+	f.Add("one\ntwo", "", int64(0), int64(10))
+	f.Add("", "x", int64(0), int64(10))
+	f.Add("300 \u212a outside\n\u212aelvin again\nplain k", "\u212a|K", int64(0), int64(10))
+	f.Add("\u0130stanbul calling\nistanbul\ni\u0307stanbul", "\u0130STANBUL|stan", int64(-5), int64(10))
+	f.Add("\u023a grows\nso \u2c65 moves\nthe rest", "\u023a|REST", int64(0), int64(10))
+	f.Add("non\u00a0breaking space\nnon breaking space", "non\u00a0breaking|N B", int64(0), int64(10))
+	f.Add("bad \xff utf8\nBAD \xff UTF8", "\xff|utf8", int64(0), int64(1))
+	f.Add("late\nlater\nlatest", "late", int64(2), int64(0))
+
+	f.Fuzz(func(t *testing.T, texts, keywords string, startMin, windowMin int64) {
+		tweets := tweetsFrom(strings.Split(texts, "\n"))
+		q := jobs.Query{
+			Keywords: strings.Split(keywords, "|"),
+			Start:    queryStart.Add(time.Duration(startMin%1000) * time.Minute),
+			Window:   time.Duration(windowMin%1000) * time.Minute,
+		}
+		checkAgainstReference(t, NewStream(tweets), tweets, q)
+	})
+}
+
+// TestStreamMatchesReference is the same comparison over seeded random
+// streams: one prepared Stream serving many queries, as a runner's does.
+func TestStreamMatchesReference(t *testing.T) {
+	pieces := []string{
+		"Thor", "THOR", "thor", "Green Lantern", "green", " ", "  ", "\t", "!", "\u212a", "k", "K",
+		"\u0130", "i", "I", "\u00a0", "é", "É", "ß", "ǅ", "\u023a", "\xff", "panda", "Kung Fu Panda 2",
+	}
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int) string {
+		var b strings.Builder
+		for i := rng.Intn(n + 1); i > 0; i-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	for round := 0; round < 50; round++ {
+		texts := make([]string, rng.Intn(40))
+		for i := range texts {
+			texts[i] = draw(8)
+		}
+		tweets := tweetsFrom(texts)
+		stream := NewStream(tweets)
+		for query := 0; query < 20; query++ {
+			keywords := make([]string, rng.Intn(4))
+			for i := range keywords {
+				keywords[i] = draw(2)
+			}
+			if len(keywords) > 1 && rng.Intn(2) == 0 {
+				keywords[len(keywords)-1] = keywords[0]
+			}
+			q := jobs.Query{
+				Keywords: keywords,
+				Start:    queryStart.Add(time.Duration(rng.Intn(50)-10) * time.Minute),
+				Window:   time.Duration(rng.Intn(50)) * time.Minute,
+			}
+			checkAgainstReference(t, stream, tweets, q)
+		}
+	}
+}
+
+// A job pays for its matches, not for the stream: the per-job filter
+// must not allocate in proportion to the tweets it rejects.
+func TestStreamMatchAllocationsIndependentOfStreamLength(t *testing.T) {
+	q := Query("Thor", 0.9, queryStart, 24*time.Hour)
+	allocs := func(padding int) float64 {
+		tweets := testStream(t, 1, []string{"Thor"}, 16)
+		for i := 0; i < padding; i++ {
+			tweets = append(tweets, textgen.Tweet{ID: fmt.Sprintf("pad%d", i), Text: "Nothing About The Movie", At: queryStart})
+		}
+		s := NewStream(tweets)
+		if got := len(s.Match(q).Tweets); got != 16 {
+			t.Fatalf("matched %d tweets of a stream padded by %d, want 16", got, padding)
+		}
+		return testing.AllocsPerRun(20, func() { s.Match(q) })
+	}
+	if small, large := allocs(0), allocs(8192); small != large {
+		t.Errorf("Stream.Match allocates %v times over 16 tweets and %v times over 16+8192: the filter pays per stream tweet", small, large)
+	}
+}
+
+// The first Match folds the stream; jobs arriving together must all see
+// the folded text complete. Run with -race.
+func TestStreamConcurrentFirstUse(t *testing.T) {
+	tweets := testStream(t, 3, []string{"Thor", "Green Lantern", "Kung Fu Panda 2"}, 200)
+	for round := 0; round < 10; round++ {
+		s := NewStream(tweets)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			movie := []string{"thor", "GREEN LANTERN", "Kung Fu Panda 2", "no such movie"}[g%4]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q := Query(movie, 0.9, queryStart, 24*time.Hour)
+				if got, want := s.Filter(q), refFilter(tweets, q); !sameTweets(got, want) {
+					t.Errorf("concurrent first Filter(%q) = %d tweets, reference says %d", movie, len(got), len(want))
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// BenchmarkStreamMatch is one job's filter over the benchmark's
+// catalogue size: through a Stream prepared once (what the runners do)
+// and through the one-shot tsa.Match, which folds the whole stream for
+// its single query.
+func BenchmarkStreamMatch(b *testing.B) {
+	tweets, err := textgen.Generate(textgen.Config{Seed: 1, Movies: textgen.Movies200()[:64], TweetsPerMovie: 128})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := Query(textgen.Movies200()[7], 0.9, queryStart, 24*time.Hour)
+	var sink Matched
+	b.Run("prepared", func(b *testing.B) {
+		s := NewStream(tweets)
+		s.Match(q)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink = s.Match(q)
+		}
+	})
+	b.Run("one-shot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = Match(q, tweets)
+		}
+	})
+	if len(sink.Tweets) != 128 {
+		b.Fatalf("matched %d tweets, want 128", len(sink.Tweets))
+	}
+}

@@ -33,15 +33,10 @@ func Query(movie string, requiredAccuracy float64, start time.Time, window time.
 }
 
 // FilterTweets applies the query's keyword and window filters to the
-// stream — the executor half of the TSA plan.
+// stream, once. A caller filtering the same tweets for many queries
+// prepares a Stream instead.
 func FilterTweets(tweets []textgen.Tweet, q jobs.Query) []textgen.Tweet {
-	out := make([]textgen.Tweet, 0, len(tweets))
-	for _, t := range tweets {
-		if q.Matches(t.Text, t.At) {
-			out = append(out, t)
-		}
-	}
-	return out
+	return NewStream(tweets).Filter(q)
 }
 
 // Questions converts tweets to crowd questions over the default TSA
@@ -119,19 +114,10 @@ type Matched struct {
 	Truths map[string]string
 }
 
-// Match filters the stream against the query and indexes the matches.
+// Match filters the stream against the query and indexes the matches,
+// once; see Stream.Match for the prepared form.
 func Match(q jobs.Query, stream []textgen.Tweet) Matched {
-	tweets := FilterTweets(stream, q)
-	m := Matched{
-		Tweets: tweets,
-		Texts:  make(map[string]string, len(tweets)),
-		Truths: make(map[string]string, len(tweets)),
-	}
-	for _, t := range tweets {
-		m.Texts[t.ID] = t.Text
-		m.Truths[t.ID] = t.Truth
-	}
-	return m
+	return NewStream(stream).Match(q)
 }
 
 // Accuracy scores batches against ground truth: the fraction of answered
