@@ -243,13 +243,16 @@ func TestWatchQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Take the replay before the updates start: WatchQuery returns on the
+	// response headers, which the server sends before it replays, so
+	// updates racing the replay would fold into it (one event, rev 5).
+	got := []QueryEvent{<-events}
 	go func() {
 		for i := 1; i <= 3; i++ {
 			b.srv.Update(api.QueryState{Name: "live", Domain: domain, Items: i * 10, Progress: float64(i) / 4})
 		}
 		b.srv.Update(api.QueryState{Name: "live", Domain: domain, Items: 40, Progress: 1, Done: true})
 	}()
-	var got []QueryEvent
 	for ev := range events {
 		if ev.Err != nil {
 			t.Fatalf("watch error: %v", ev.Err)

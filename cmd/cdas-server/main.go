@@ -81,6 +81,22 @@ func budgetLines(b jobs.BudgetState) map[string]scheduler.JobBudget {
 	return out
 }
 
+// persistCharge is the OnCharge hook of both the scheduler and the
+// enumeration runner: it commits every charge to the durable ledger, so a
+// restarted server keeps accounting from where the dead one stopped. The
+// crowd has been paid by the time the hook runs, so a charge the store
+// refuses cannot be taken back here; it is logged and counted
+// (budget_charge_failures), and the durable ledger is that much behind the
+// scheduler's until the next restart.
+func persistCharge(svc *jobs.Service, counters *metrics.Registry) func(job string, amount float64) {
+	return func(job string, amount float64) {
+		if err := svc.ChargeBudget(job, amount); err != nil {
+			counters.Inc(metrics.CounterBudgetChargeFailures)
+			log.Printf("cdas-server: recording budget charge for %q: %v", job, err)
+		}
+	}
+}
+
 // runnerByKind routes a claimed job to its kind's runner. Submit
 // validation accepts kinds this server has no runner for (imagetag,
 // custom); such a job fails permanently instead of being executed as
@@ -166,14 +182,8 @@ func run(addr string, seed uint64, accuracy float64, inflight int, store, storeE
 		GlobalBudget:  budget,
 		DisableDedup:  !dedup,
 		FlushInterval: 50 * time.Millisecond,
-		OnCharge: func(job string, amount float64) {
-			// Persist every charge so a restarted server keeps the
-			// ledger (budget state replays from the WAL).
-			if err := svc.ChargeBudget(job, amount); err != nil {
-				log.Printf("cdas-server: recording budget charge for %q: %v", job, err)
-			}
-		},
-		Counters: counters,
+		OnCharge:      persistCharge(svc, counters),
+		Counters:      counters,
 	})
 	if err != nil {
 		return err
@@ -202,13 +212,8 @@ func run(addr string, seed uint64, accuracy float64, inflight int, store, storeE
 	enumRunner := enum.NewRunner(enum.RunnerConfig{
 		Scheduler: sched,
 		Marks:     svc,
-		OnCharge: func(job string, amount float64) {
-			// Enumeration batches charge the ledger directly (no flush
-			// loop); persist the spend the same way.
-			if err := svc.ChargeBudget(job, amount); err != nil {
-				log.Printf("cdas-server: recording enum budget charge for %q: %v", job, err)
-			}
-		},
+		// Enumeration batches charge the ledger directly (no flush loop).
+		OnCharge: persistCharge(svc, counters),
 		Counters: counters,
 		Publish:  api.EnumPublisher(),
 	})

@@ -10,6 +10,7 @@ import (
 	"cdas/internal/crowd"
 	"cdas/internal/engine"
 	"cdas/internal/jobs"
+	"cdas/internal/metrics"
 	"cdas/internal/scheduler"
 	"cdas/internal/textgen"
 	"cdas/internal/tsa"
@@ -87,5 +88,36 @@ func TestJobOfKindWithoutRunnerFailsAndBuysNothing(t *testing.T) {
 	if st := settle("job-tsa", jobs.KindTSA); st.State != jobs.StateDone || platform.TotalSpent() == 0 {
 		t.Errorf("tsa job: state %s (%s), platform spend %v; want done with crowd work bought",
 			st.State, st.Error, platform.TotalSpent())
+	}
+}
+
+// A charge the durable ledger refuses is counted, so a store ledger that
+// has fallen behind the scheduler's shows at /v1/metrics.
+func TestPersistChargeCountsRefusedCharges(t *testing.T) {
+	counters := metrics.NewRegistry()
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir(), Engine: jobs.EngineLSM, Counters: counters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	charge := persistCharge(svc, counters)
+
+	charge("a", 0.25)
+	if got := svc.Budget(); got.GlobalSpent != 0.25 || got.Jobs["a"] != 0.25 {
+		t.Fatalf("ledger after a persisted charge: %+v", got)
+	}
+	if n := counters.Get(metrics.CounterBudgetChargeFailures); n != 0 {
+		t.Fatalf("%s = %d after a persisted charge, want 0", metrics.CounterBudgetChargeFailures, n)
+	}
+
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	charge("a", 0.25)
+	if n := counters.Get(metrics.CounterBudgetChargeFailures); n != 1 {
+		t.Fatalf("%s = %d after a charge against a closed service, want 1", metrics.CounterBudgetChargeFailures, n)
+	}
+	if got := svc.Budget(); got.GlobalSpent != 0.25 {
+		t.Fatalf("a refused charge moved the ledger: %+v", got)
 	}
 }

@@ -104,50 +104,6 @@ func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateRes
 	return res, nil
 }
 
-// loadWALState replays the WAL store into a Manager — the exact load
-// OpenService performs, minus the requeue-on-boot step: migration must
-// copy records verbatim, not reinterpret them.
-func loadWALState(log *jobstore.Log) (*Manager, BudgetState, map[string]StreamMark, error) {
-	m := NewManager()
-	var budget BudgetState
-	streams := map[string]StreamMark{}
-	if snap, _ := log.Snapshot(); snap != nil {
-		var ws walSnapshot
-		if err := json.Unmarshal(snap, &ws); err != nil {
-			return nil, budget, nil, fmt.Errorf("jobs: decoding snapshot: %w", err)
-		}
-		for _, st := range ws.Jobs {
-			m.restore(fromWal(st))
-		}
-		if ws.Budget != nil {
-			budget = ws.Budget.clone()
-		}
-		for _, sr := range ws.Streams {
-			streams[sr.Job] = sr.Mark
-		}
-	}
-	for i, rec := range log.Entries() {
-		var ev walEvent
-		if err := json.Unmarshal(rec, &ev); err != nil {
-			return nil, budget, nil, fmt.Errorf("jobs: decoding WAL record %d: %w", i, err)
-		}
-		switch ev.Op {
-		case "budget":
-			if ev.Budget != nil {
-				budget = ev.Budget.clone()
-			}
-			continue
-		case "stream":
-			if ev.Stream != nil {
-				streams[ev.Stream.Job] = ev.Stream.Mark
-			}
-			continue
-		}
-		m.restore(fromWal(ev.Status))
-	}
-	return m, budget, streams, nil
-}
-
 // writeLSMStore creates the LSM store and commits every job's primary
 // record plus its state, priority and tenant index entries — each
 // job's records inside one atomic batch, many jobs per batch to bound
@@ -193,11 +149,7 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 		}
 	}
 	if budget.GlobalSpent > 0 || len(budget.Jobs) > 0 {
-		payload, err := json.Marshal(budget)
-		if err != nil {
-			return fmt.Errorf("jobs: encoding budget: %w", err)
-		}
-		batch = append(batch, jobstore.Op{Key: lsmBudgetKey, Value: payload})
+		batch = budgetOps(batch, budget)
 	}
 	streamNames := make([]string, 0, len(streams))
 	for name := range streams {
@@ -251,16 +203,12 @@ func verifyLSMStore(dir string, want []Status, wantBudget BudgetState, wantStrea
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("jobs: verification failed: LSM view (%d jobs) differs from WAL replay (%d jobs)", len(got), len(want))
 	}
-	var gotBudget BudgetState
-	if raw, ok, err := lsm.Get(lsmBudgetKey); err != nil {
-		return err
-	} else if ok {
-		if err := json.Unmarshal(raw, &gotBudget); err != nil {
-			return fmt.Errorf("jobs: verification: decoding budget: %w", err)
-		}
+	gotBudget, unsplit, err := loadLSMBudget(lsm)
+	if err != nil {
+		return fmt.Errorf("jobs: verification: %w", err)
 	}
-	if !reflect.DeepEqual(gotBudget, wantBudget) {
-		return fmt.Errorf("jobs: verification failed: budget %+v differs from WAL replay's %+v", gotBudget, wantBudget)
+	if unsplit || !reflect.DeepEqual(gotBudget, wantBudget) {
+		return fmt.Errorf("jobs: verification failed: budget %+v (one line per job: %v) differs from WAL replay's %+v", gotBudget, !unsplit, wantBudget)
 	}
 	gotStreams := map[string]StreamMark{}
 	err = lsm.Scan(lsmStreamPrefix, prefixEnd(lsmStreamPrefix), func(key string, val []byte) bool {

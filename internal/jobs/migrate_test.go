@@ -54,6 +54,16 @@ func TestMigrateStoreRoundTrip(t *testing.T) {
 		t.Fatal("no WAL files retired")
 	}
 
+	// The converted store holds the ledger the way the service writes it:
+	// the total alone under "b", one line per job under b/.
+	if len(wantBudget.Jobs) == 0 {
+		t.Fatal("seed charged no job: the ledger layout goes unchecked")
+	}
+	total, lines := rawLedger(t, dir)
+	if strings.Contains(total, "jobs") || len(lines) != len(wantBudget.Jobs) {
+		t.Fatalf("converted ledger: b = %s with %d b/ lines, want the total alone and %d lines", total, len(lines), len(wantBudget.Jobs))
+	}
+
 	// The migrated store must boot as the LSM engine and serve the
 	// exact state the WAL engine held (normalize folds the shared
 	// requeue-Running-on-boot rule).

@@ -8,7 +8,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"cdas/internal/jobstore"
@@ -124,16 +126,25 @@ type stagedTx struct {
 // index entries are empty values whose keys order the scan:
 //
 //	j/<name>                      → walStatus JSON (current record)
-//	b                             → BudgetState JSON (ledger)
+//	b                             → {"global_spent":…} (ledger total)
+//	b/<job>                       → that job's spend, a JSON number
 //	xs/<state>/<seq>/<name>       state index, FIFO order within a state
 //	xp/<priority>/<name>          priority index (admission order)
 //	xt/<tenant>/<name>            tenant index
 //
 // seq and priority are fixed-width big-endian hex so byte order equals
 // numeric order; priority is offset-encoded to order negatives first.
+//
+// The ledger is one record per line so that a charge writes two small
+// values whatever the number of jobs ever charged. Both are stored in
+// shortest round-trip form and the total is never re-summed, so a
+// reopened ledger is bit-equal. Stores written before the split keep the
+// whole ledger under "b" (a BudgetState with its jobs map); boot rewrites
+// such a store into lines in one atomic batch (loadLSMBudget, budgetOps).
 const (
 	lsmPrimaryPrefix = "j/"
 	lsmBudgetKey     = "b"
+	lsmBudgetPrefix  = "b/"
 	lsmStatePrefix   = "xs/"
 	lsmPrioPrefix    = "xp/"
 	lsmTenantPrefix  = "xt/"
@@ -186,6 +197,61 @@ func (b BudgetState) clone() BudgetState {
 		}
 	}
 	return out
+}
+
+// budgetOps appends b's ledger records to batch: a b/<job> line for each
+// entry of b.Jobs, in name order, and the total under "b". A charge passes
+// the one line it moved with the new total; migration and the boot-time
+// split pass the whole ledger. Values are finite (ChargeBudget refuses the
+// rest), so each is a JSON number that parses back to the same bits.
+func budgetOps(batch []jobstore.Op, b BudgetState) []jobstore.Op {
+	names := make([]string, 0, len(b.Jobs))
+	for name := range b.Jobs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		batch = append(batch, jobstore.Op{
+			Key:   lsmBudgetPrefix + name,
+			Value: strconv.AppendFloat(nil, b.Jobs[name], 'g', -1, 64),
+		})
+	}
+	total := strconv.AppendFloat([]byte(`{"global_spent":`), b.GlobalSpent, 'g', -1, 64)
+	return append(batch, jobstore.Op{Key: lsmBudgetKey, Value: append(total, '}')})
+}
+
+// loadLSMBudget reads the ledger back: the total from "b", the lines from
+// a range-read of b/. unsplit reports a store written before the ledger
+// was split — "b" carries the jobs map and there are no lines — which the
+// caller rewrites with budgetOps.
+func loadLSMBudget(lsm *jobstore.LSM) (b BudgetState, unsplit bool, err error) {
+	raw, ok, err := lsm.Get(lsmBudgetKey)
+	if err != nil || !ok {
+		return b, false, err
+	}
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return b, false, fmt.Errorf("jobs: decoding budget record: %w", err)
+	}
+	if len(b.Jobs) > 0 {
+		return b, true, nil
+	}
+	var decodeErr error
+	err = lsm.Scan(lsmBudgetPrefix, prefixEnd(lsmBudgetPrefix), func(key string, val []byte) bool {
+		var spent float64
+		if spent, decodeErr = strconv.ParseFloat(string(val), 64); decodeErr != nil {
+			decodeErr = fmt.Errorf("jobs: decoding budget line %q: %w", key, decodeErr)
+			return false
+		}
+		if b.Jobs == nil {
+			b.Jobs = make(map[string]float64)
+		}
+		b.Jobs[key[len(lsmBudgetPrefix):]] = spent
+		return true
+	})
+	if err == nil {
+		err = decodeErr
+	}
+	return b, false, err
 }
 
 // StreamMark is a continuous job's durable stream position: the highest
@@ -280,10 +346,13 @@ type walStatus struct {
 // walEvent is one WAL record. Lifecycle events ("submit", "update")
 // carry the full post-transition record of the job they concern, which
 // makes replay a plain overwrite — trivially idempotent under the
-// storage layer's at-least-once crash windows. Budget events ("budget")
-// carry the full ledger for the same reason: replay keeps the last one.
+// storage layer's at-least-once crash windows. A "charge" event carries
+// the post-charge total and the one ledger line the charge moved, as
+// absolute values, for the same reason: replay overwrites those two. Logs
+// written before the ledger was split hold "budget" events, each the full
+// ledger; replay keeps the last one.
 type walEvent struct {
-	Op     string        `json:"op"` // "submit", "update", "budget" or "stream"
+	Op     string        `json:"op"` // "submit", "update", "charge", "stream" or (old logs) "budget"
 	Status walStatus     `json:"status,omitempty"`
 	Budget *BudgetState  `json:"budget,omitempty"`
 	Stream *streamRecord `json:"stream,omitempty"`
@@ -367,43 +436,11 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 		return nil, err
 	}
 	s.log = log
-	if snap, _ := log.Snapshot(); snap != nil {
-		var ws walSnapshot
-		if err := json.Unmarshal(snap, &ws); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("jobs: decoding snapshot: %w", err)
-		}
-		for _, st := range ws.Jobs {
-			s.m.restore(fromWal(st))
-		}
-		if ws.Budget != nil {
-			s.budget = ws.Budget.clone()
-		}
-		for _, sr := range ws.Streams {
-			s.setStreamMark(sr.Job, sr.Mark)
-		}
+	if s.m, s.budget, s.streams, err = loadWALState(log); err != nil {
+		log.Close()
+		return nil, err
 	}
-	for i, rec := range log.Entries() {
-		var ev walEvent
-		if err := json.Unmarshal(rec, &ev); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("jobs: decoding WAL record %d: %w", i, err)
-		}
-		switch ev.Op {
-		case "budget":
-			if ev.Budget != nil {
-				s.budget = ev.Budget.clone()
-			}
-			continue
-		case "stream":
-			// Marks replay last-one-wins, exactly like the ledger.
-			if ev.Stream != nil {
-				s.setStreamMark(ev.Stream.Job, ev.Stream.Mark)
-			}
-			continue
-		}
-		s.m.restore(fromWal(ev.Status))
-	}
+	s.m.SetMaxAttempts(cfg.MaxAttempts)
 	var running []string
 	for _, st := range s.m.Statuses() {
 		if st.State == StateRunning {
@@ -415,6 +452,61 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// loadWALState replays a WAL-engine store — the snapshot, then every
+// event after it — into a Manager, the ledger and the stream marks. It
+// copies records verbatim: requeueing what the dead process was running
+// is OpenService's step, and migration must not take it.
+func loadWALState(log *jobstore.Log) (*Manager, BudgetState, map[string]StreamMark, error) {
+	m := NewManager()
+	var budget BudgetState
+	streams := map[string]StreamMark{}
+	if snap, _ := log.Snapshot(); snap != nil {
+		var ws walSnapshot
+		if err := json.Unmarshal(snap, &ws); err != nil {
+			return nil, budget, nil, fmt.Errorf("jobs: decoding snapshot: %w", err)
+		}
+		for _, st := range ws.Jobs {
+			m.restore(fromWal(st))
+		}
+		if ws.Budget != nil {
+			budget = *ws.Budget
+		}
+		for _, sr := range ws.Streams {
+			streams[sr.Job] = sr.Mark
+		}
+	}
+	for i, rec := range log.Entries() {
+		var ev walEvent
+		if err := json.Unmarshal(rec, &ev); err != nil {
+			return nil, budget, nil, fmt.Errorf("jobs: decoding WAL record %d: %w", i, err)
+		}
+		switch ev.Op {
+		case "budget":
+			if ev.Budget != nil {
+				budget = *ev.Budget
+			}
+		case "charge":
+			if ev.Budget != nil {
+				budget.GlobalSpent = ev.Budget.GlobalSpent
+				if budget.Jobs == nil {
+					budget.Jobs = make(map[string]float64)
+				}
+				for name, spent := range ev.Budget.Jobs {
+					budget.Jobs[name] = spent
+				}
+			}
+		case "stream":
+			// Marks replay last-one-wins, exactly like the ledger.
+			if ev.Stream != nil {
+				streams[ev.Stream.Job] = ev.Stream.Mark
+			}
+		default:
+			m.restore(fromWal(ev.Status))
+		}
+	}
+	return m, budget, streams, nil
 }
 
 // requeueInterrupted is the resume step of boot: the named jobs, which
@@ -458,11 +550,14 @@ func openLSMService(s *Service) (*Service, error) {
 		lsm.Close()
 		return nil, err
 	}
-	if raw, ok, err := lsm.Get(lsmBudgetKey); err != nil {
+	var unsplit bool
+	if s.budget, unsplit, err = loadLSMBudget(lsm); err != nil {
 		return fail(err)
-	} else if ok {
-		if err := json.Unmarshal(raw, &s.budget); err != nil {
-			return fail(fmt.Errorf("jobs: decoding budget record: %w", err))
+	}
+	if unsplit {
+		// One batch, so a crash leaves the old layout or the new one.
+		if err := lsm.Apply(budgetOps(nil, s.budget)); err != nil {
+			return fail(fmt.Errorf("jobs: splitting the budget ledger into lines: %w", err))
 		}
 	}
 	var decodeErr error
@@ -743,12 +838,8 @@ func (s *Service) read(fn func() uint64) {
 // record without its index entries or vice versa.
 func lsmBatch(ev walEvent, prevState State) ([]jobstore.Op, error) {
 	var batch []jobstore.Op
-	if ev.Op == "budget" {
-		payload, err := json.Marshal(ev.Budget)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: encoding budget: %w", err)
-		}
-		batch = append(batch, jobstore.Op{Key: lsmBudgetKey, Value: payload})
+	if ev.Op == "charge" {
+		batch = budgetOps(nil, *ev.Budget)
 	} else if ev.Op == "stream" {
 		payload, err := json.Marshal(ev.Stream)
 		if err != nil {
@@ -830,8 +921,7 @@ func (s *Service) compact() error {
 		snap.Jobs = append(snap.Jobs, toWal(st))
 	}
 	if s.budget.GlobalSpent > 0 || len(s.budget.Jobs) > 0 {
-		b := s.budget.clone()
-		snap.Budget = &b
+		snap.Budget = &s.budget // encoded below, still under s.mu
 	}
 	if len(s.streams) > 0 {
 		names := make([]string, 0, len(s.streams))
@@ -995,24 +1085,36 @@ func (s *Service) Unpark(name string) error {
 
 // ChargeBudget commits a crowd-spend charge against the job and the
 // global ledger — the scheduler's persistence hook, so budget state
-// survives WAL replay. Charges are facts about money already spent;
-// they are recorded even for jobs the service has never seen.
+// survives a restart. Charges are facts about money already spent; they
+// are recorded even for jobs the service has never seen. The commit
+// carries the job's line and the total, not the ledger, so it costs the
+// same however many jobs have been charged before. An amount that is not
+// finite, or that would carry a sum past the largest float64, is refused
+// before anything changes: the ledger's encoding has no spelling for it.
 func (s *Service) ChargeBudget(name string, amount float64) error {
+	if math.IsNaN(amount) || math.IsInf(amount, 0) {
+		return fmt.Errorf("jobs: budget charge of %v for %q is not a finite amount", amount, name)
+	}
 	if amount <= 0 {
 		return nil
 	}
 	err := s.commit(true, func() (staging, error) {
 		prevGlobal := s.budget.GlobalSpent
 		prevJob, had := s.budget.Jobs[name]
-		s.budget.GlobalSpent += amount
+		global, spent := prevGlobal+amount, prevJob+amount
+		if math.IsInf(global, 0) || math.IsInf(spent, 0) {
+			return staging{}, fmt.Errorf("jobs: budget charge of %v for %q overflows the ledger", amount, name)
+		}
 		if s.budget.Jobs == nil {
 			s.budget.Jobs = make(map[string]float64)
 		}
-		s.budget.Jobs[name] += amount
-		b := s.budget.clone()
+		s.budget.GlobalSpent, s.budget.Jobs[name] = global, spent
 		return staging{
 			key: recordKey{ns: nsBudget},
-			ev:  walEvent{Op: "budget", Budget: &b},
+			ev: walEvent{Op: "charge", Budget: &BudgetState{
+				GlobalSpent: global,
+				Jobs:        map[string]float64{name: spent},
+			}},
 			undo: func() {
 				s.budget.GlobalSpent = prevGlobal
 				if had {

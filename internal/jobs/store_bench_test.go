@@ -179,3 +179,21 @@ func BenchmarkJobsListP99(b *testing.B) {
 	p99 := durs[len(durs)*99/100]
 	b.ReportMetric(float64(p99.Nanoseconds())/1e3, "list_p99_us")
 }
+
+// BenchmarkChargeBudget measures one durable charge (LSM engine, fsync
+// on) against ledgers of two sizes. The two must read alike: a charge
+// commits the job's line and the total, never the ledger.
+func BenchmarkChargeBudget(b *testing.B) {
+	for _, jobs := range []int{100, 10_000} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			svc, _ := openWithLedger(b, jobs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := svc.ChargeBudget(fmt.Sprintf("job-%06d", i%jobs), 0.25); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -124,6 +124,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		submitStart: make(map[string]time.Time),
 		settled:     make(map[string]time.Time),
 		watcherE2E:  make(map[string]time.Duration),
+		cancelWatch: make(map[string]context.CancelFunc),
 	}
 	watchCtx, stopWatchers := context.WithCancel(ctx)
 	defer stopWatchers()
@@ -170,16 +171,19 @@ rounds:
 				rec.watchers.Add(1)
 				rec.openWatchers.Add(1)
 				watchers.Add(1)
+				wctx, cancel := context.WithCancel(watchCtx)
+				rec.cancelWatch[name] = cancel
 				go func() {
 					defer watchers.Done()
 					defer rec.openWatchers.Add(-1)
+					defer cancel()
 					switch {
 					case p.Stream:
-						watchStream(watchCtx, c, name, t0, rec)
+						watchStream(wctx, c, name, t0, rec)
 					case p.Enum:
-						watchEnum(watchCtx, c, name, t0, rec)
+						watchEnum(wctx, c, name, t0, rec)
 					default:
-						watchJob(watchCtx, c, name, t0, rec)
+						watchJob(wctx, c, name, t0, rec)
 					}
 				}()
 			}
@@ -192,15 +196,24 @@ rounds:
 	}
 	wall := time.Since(start)
 
-	// Graceful drain: cancel the watchers and give them a bounded window
-	// to unwind — an unfinished SSE stream must never hang the harness.
-	stopWatchers()
+	// Graceful drain: a finished job's feed ends in a done event, so give
+	// the watchers a bounded window to read it — a run that settles in
+	// milliseconds can finish before a watcher has connected, and
+	// cancelling first would cut that watcher off with nothing seen.
+	// (awaitSettled has already released the watchers of parked jobs.) A
+	// feed still open at the deadline is cancelled: an unfinished SSE
+	// stream must never hang the harness. A run that did not settle is
+	// owed no done events and is cancelled at once.
+	if runErr != nil {
+		stopWatchers()
+	}
 	drained := make(chan struct{})
 	go func() { watchers.Wait(); close(drained) }()
 	select {
 	case <-drained:
 	case <-time.After(drain):
 		rec.addError(fmt.Sprintf("%d SSE watcher(s) still open after %v drain deadline", rec.openWatchers.Load(), drain))
+		stopWatchers()
 	}
 
 	// Final sweep on a fresh context: a cancelled run still reports
@@ -233,6 +246,11 @@ type recorder struct {
 	// diagnostic).
 	watchers     atomic.Int64
 	openWatchers atomic.Int64
+	// cancelWatch holds each watcher's cancel func by job name, so that a
+	// job settling as parked — inert, its feed never publishes done —
+	// releases its watcher at once instead of holding the drain to its
+	// deadline. Only Run's goroutine touches the map.
+	cancelWatch map[string]context.CancelFunc
 }
 
 func (r *recorder) recordSubmit(name string, t0 time.Time, d time.Duration) {
@@ -421,6 +439,9 @@ func awaitSettled(ctx context.Context, c *client.Client, srv *inprocServer, name
 			if expected[st.Name] && settledState(st.State) && rec.recordSettled(st.Name, now) {
 				settled++
 				lastProgress = now
+				if cancel := rec.cancelWatch[st.Name]; cancel != nil && st.State == api.JobParked {
+					cancel()
+				}
 			}
 		}
 		if settled == len(names) {

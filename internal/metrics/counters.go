@@ -106,6 +106,10 @@ const (
 	CounterWALSnapshots  = "wal_snapshots"
 	CounterHITsFinished  = "hits_finished"
 	CounterBudgetCharges = "budget_charges"
+	// CounterBudgetChargeFailures counts crowd charges the durable ledger
+	// refused (cdas-server's OnCharge hook): each one is money the
+	// scheduler's ledger has and the store's does not.
+	CounterBudgetChargeFailures = "budget_charge_failures"
 	// CounterCheckpointFailures counts store checkpoints that failed
 	// (the store keeps serving; the failed checkpoint is retried on the
 	// next commit).
