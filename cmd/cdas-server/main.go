@@ -8,9 +8,8 @@
 // lifecycle transition and budget charge is committed to the indexed
 // LSM job store (checkpointed off the commit path), so a killed server
 // replays on restart, resumes unfinished jobs and keeps charging from
-// where it stopped. Stores written by the legacy "wal" engine are
-// upgraded in place with cdas-storectl migrate, or served as-is via
-// -store-engine=wal.
+// where it stopped. A store still in the older append-only log format
+// is refused at boot; cdas-storectl migrate converts it in place.
 //
 // Usage:
 //
@@ -123,19 +122,18 @@ func main() {
 		accuracy    = flag.Float64("accuracy", 0.9, "required accuracy C for demo jobs")
 		inflight    = flag.Int("inflight", 4, "HITs published and draining at once per job")
 		store       = flag.String("store", "", "durable job store directory (empty: in-memory only)")
-		storeEngine = flag.String("store-engine", jobs.EngineLSM, `storage engine for -store: "lsm" (indexed, checkpointed LSM store; the default) or "wal" (legacy append-only log + snapshots; upgrade with cdas-storectl migrate)`)
 		dispatchers = flag.Int("dispatchers", 2, "dispatcher workers pulling pending jobs")
 		demo        = flag.Bool("demo", true, "submit the demo TSA jobs at boot")
 		budget      = flag.Float64("budget", 0, "global crowd budget across all jobs (0: unlimited)")
 		dedup       = flag.Bool("dedup", true, "coalesce identical questions across jobs and cache verified answers")
 	)
 	flag.Parse()
-	if err := run(*addr, *seed, *accuracy, *inflight, *store, *storeEngine, *dispatchers, *demo, *budget, *dedup); err != nil {
+	if err := run(*addr, *seed, *accuracy, *inflight, *store, *dispatchers, *demo, *budget, *dedup); err != nil {
 		log.Fatalf("cdas-server: %v", err)
 	}
 }
 
-func run(addr string, seed uint64, accuracy float64, inflight int, store, storeEngine string, dispatchers int, demo bool, budget float64, dedup bool) error {
+func run(addr string, seed uint64, accuracy float64, inflight int, store string, dispatchers int, demo bool, budget float64, dedup bool) error {
 	platform, err := crowd.NewPlatform(crowd.DefaultConfig(seed))
 	if err != nil {
 		return err
@@ -159,13 +157,13 @@ func run(addr string, seed uint64, accuracy float64, inflight int, store, storeE
 	}
 
 	counters := metrics.NewRegistry()
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: store, Engine: storeEngine, Counters: counters, Logf: log.Printf})
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: store, Counters: counters, Logf: log.Printf})
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
 	for _, name := range svc.Resumed() {
-		log.Printf("cdas-server: resuming interrupted job %q from the %s store", name, storeEngine)
+		log.Printf("cdas-server: resuming interrupted job %q from the store", name)
 	}
 
 	api := httpapi.NewServer()

@@ -95,7 +95,7 @@ func TestJobOfKindWithoutRunnerFailsAndBuysNothing(t *testing.T) {
 // has fallen behind the scheduler's shows at /v1/metrics.
 func TestPersistChargeCountsRefusedCharges(t *testing.T) {
 	counters := metrics.NewRegistry()
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir(), Engine: jobs.EngineLSM, Counters: counters})
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir(), Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,18 @@
 //
 //	cdas-storectl migrate -dir /var/lib/cdas/jobs
 //
-// migrate converts a WAL-engine store (the pre-lsm default) to the LSM
-// engine in place: it replays the WAL store, writes an equivalent LSM
-// store — every job's primary record plus its state/priority/tenant
-// index entries in atomic batches — verifies the two views are
-// deep-equal, and only then retires the WAL files (renamed *.retired;
-// renaming them back is the rollback). The conversion is idempotent
-// and resumable: re-running after an interruption discards the partial
-// LSM store and starts over from the still-authoritative WAL, and
-// re-running after success is a no-op. A store held open by a live
-// server is refused.
+// migrate converts a store in the append-only log format that
+// cdas-server wrote before the LSM engine (wal.dat plus snapshot.dat)
+// to the LSM engine in place: it reads the log without writing to it,
+// writes an equivalent LSM store — every job's primary record plus its
+// state/priority/tenant index entries in atomic batches — verifies the
+// two views are deep-equal, and only then retires the log files
+// (renamed *.retired; renaming them back is the rollback). The
+// conversion is idempotent and resumable: re-running after an
+// interruption discards the partial LSM store and starts over from the
+// still-authoritative log, and re-running after success is a no-op. A
+// log held by another migrate, or by an old server still writing it, is
+// refused.
 package main
 
 import (
@@ -77,6 +79,6 @@ func runMigrate(args []string, stdout, stderr io.Writer) int {
 	for _, f := range res.Retired {
 		logf("retired %s", f)
 	}
-	logf("done: start cdas-server with -store-engine=lsm (the default); to roll back, remove the lsm files and rename the retired files back")
+	logf("done: cdas-server boots the converted store; to roll back, remove the lsm files and rename the retired files back")
 	return 0
 }

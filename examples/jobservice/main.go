@@ -1,7 +1,7 @@
 // Example jobservice demonstrates the durable job service: jobs are
 // submitted to a dispatcher pool, executed through the engine's
 // concurrent HIT pipeline, and every lifecycle transition is committed
-// to a write-ahead log. The example stops the service mid-flight — the
+// to the LSM job store. The example stops the service mid-flight — the
 // moral equivalent of kill -9 — then reopens the store and shows the
 // replay resuming the interrupted job without re-running the finished
 // one.
@@ -80,17 +80,17 @@ func main() {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// kill -9: the store stops receiving writes first, so the WAL's last
-	// word on the in-flight job is "running" — no graceful requeue ever
+	// kill -9: the store stops receiving writes first, so its last word
+	// on the in-flight job is "running" — no graceful requeue ever
 	// reaches disk. (Stop afterwards only reaps the orphaned goroutines;
-	// its requeue attempt fails on the closed log, exactly like a dead
+	// its requeue attempt fails on the closed store, exactly like a dead
 	// process that can no longer write.)
 	svc.Close()
 	disp.Stop()
 	fmt.Println("state at the moment of the crash (in-flight job still \"running\"):")
 	printStatuses(svc)
 
-	// ---- Second incarnation: replay the WAL and finish the rest. ----
+	// ---- Second incarnation: reopen the store and finish the rest. ----
 	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
 	if err != nil {
 		log.Fatal(err)
@@ -117,7 +117,7 @@ func main() {
 		time.Sleep(5 * time.Millisecond)
 	}
 	disp2.Stop()
-	fmt.Println("\nafter the second incarnation (WAL replayed, all jobs finished):")
+	fmt.Println("\nafter the second incarnation (store reopened, all jobs finished):")
 	printStatuses(svc2)
 	fmt.Printf("\ncounters: submitted=%d started=%d completed=%d resumed=%d wal_appends=%d\n",
 		counters.Get(metrics.CounterJobsSubmitted),

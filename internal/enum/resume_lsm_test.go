@@ -68,7 +68,7 @@ func TestEnumKillResume(t *testing.T) {
 	})
 
 	// ---- First incarnation: commit two batches, then kill -9. ----
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Engine: jobs.EngineLSM, Counters: counters})
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEnumKillResume(t *testing.T) {
 	}
 
 	// ---- Second incarnation: replay the LSM store and resume. ----
-	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Engine: jobs.EngineLSM, Counters: counters})
+	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,21 +146,15 @@ func submission(name string) JobSubmission {
 // style: no graceful dispatcher drain) while a third job is running,
 // then restart onto the same store and assert the replay resumed
 // exactly the unfinished job — completed and cancelled jobs keep their
-// states and costs, and nothing runs twice. The whole scenario runs
-// once per storage engine: the WAL+snapshot log and the LSM store must
-// survive the same crash identically.
-func TestJobServiceEndToEnd(t *testing.T) {
-	for _, engine := range []string{jobs.EngineWAL, jobs.EngineLSM} {
-		t.Run(engine, func(t *testing.T) { testJobServiceEndToEnd(t, engine) })
-	}
-}
+// states and costs, and nothing runs twice.
+func TestJobServiceEndToEnd(t *testing.T) { t.Run("lsm", testJobServiceEndToEnd) }
 
-func testJobServiceEndToEnd(t *testing.T, engine string) {
+func testJobServiceEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 
 	// ---- First incarnation. ----
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: reg, Engine: engine})
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +283,7 @@ func testJobServiceEndToEnd(t *testing.T, engine string) {
 	t.Cleanup(func() { close(runner.gate("gamma")); disp.Stop() })
 
 	// ---- Second incarnation on the same store. ----
-	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: reg, Engine: engine})
+	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ type enumHarness struct {
 func newEnumHarness(t *testing.T, batchDelay time.Duration) *enumHarness {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir(), Engine: jobs.EngineLSM, Counters: reg})
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir(), Counters: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ type streamHarness struct {
 func newStreamHarness(t *testing.T, publishDelay time.Duration) *streamHarness {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir(), Engine: jobs.EngineLSM, Counters: reg})
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir(), Counters: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,7 @@ func (g *syncGate) fn(point string) error {
 
 func openGated(t *testing.T, dir string, gate *syncGate) *Service {
 	t.Helper()
-	return openTestService(t, dir, func(c *ServiceConfig) {
-		c.Engine = EngineLSM
-		c.StoreFail = gate.fn
-	})
+	return openTestService(t, dir, func(c *ServiceConfig) { c.StoreFail = gate.fn })
 }
 
 // TestAckAndReadsWaitForFsync parks the fsync of a Submit's group: until
@@ -224,7 +221,7 @@ func TestFailedGroupRevertsEveryMember(t *testing.T) {
 			}
 			s.Close()
 
-			r := openTestService(t, dir, func(c *ServiceConfig) { c.Engine = EngineLSM })
+			r := openTestService(t, dir)
 			defer r.Close()
 			if point == jobstore.FailWALWrite {
 				// Nothing of the group reached disk: the store equals
@@ -249,51 +246,33 @@ func TestFailedGroupRevertsEveryMember(t *testing.T) {
 }
 
 // TestProgressSurvivesClose: an advisory progress record nobody waited
-// for is flushed by Close, on both engines.
-func TestProgressSurvivesClose(t *testing.T) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		t.Run(engine, func(t *testing.T) {
-			dir := t.TempDir()
-			reg := metrics.NewRegistry()
-			s := openTestService(t, dir, func(c *ServiceConfig) { c.Engine = engine; c.Counters = reg })
-			s.Submit(testJob("j"))
-			s.Claim()
-			fsyncs := reg.Get(metrics.CounterWALFsyncs)
-			if err := s.Progress("j", 0.28, 1.5); err != nil {
-				t.Fatal(err)
-			}
-			if got := reg.Get(metrics.CounterWALFsyncs); got != fsyncs {
-				t.Fatalf("Progress fsynced: wal_fsyncs %d -> %d", fsyncs, got)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := reg.Get(metrics.CounterWALAppends); got != 3 {
-				t.Fatalf("wal_appends = %d after submit, claim, progress and Close, want 3", got)
-			}
-			// Read the record as the store holds it: reopening the
-			// service would requeue the running job and reset progress.
-			var ws walStatus
-			switch engine {
-			case EngineLSM:
-				ws = checkLSMIndexes(t, dir, "after close")["j"]
-			case EngineWAL:
-				log, err := jobstore.Open(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, _, _, err := loadWALState(log)
-				log.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, _ := m.Status("j")
-				ws = toWal(st)
-			}
-			if ws.State != StateRunning || ws.Progress != 0.28 || ws.Cost != 1.5 {
-				t.Fatalf("record after Close = %+v, want the progress report", ws)
-			}
-		})
+// for is flushed by Close.
+func TestProgressSurvivesClose(t *testing.T) { t.Run("lsm", testProgressSurvivesClose) }
+
+func testProgressSurvivesClose(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	s := openTestService(t, dir, func(c *ServiceConfig) { c.Counters = reg })
+	s.Submit(testJob("j"))
+	s.Claim()
+	fsyncs := reg.Get(metrics.CounterWALFsyncs)
+	if err := s.Progress("j", 0.28, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Get(metrics.CounterWALFsyncs); got != fsyncs {
+		t.Fatalf("Progress fsynced: wal_fsyncs %d -> %d", fsyncs, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Get(metrics.CounterWALAppends); got != 3 {
+		t.Fatalf("wal_appends = %d after submit, claim, progress and Close, want 3", got)
+	}
+	// Read the record as the store holds it: reopening the
+	// service would requeue the running job and reset progress.
+	ws := checkLSMIndexes(t, dir, "after close")["j"]
+	if ws.State != StateRunning || ws.Progress != 0.28 || ws.Cost != 1.5 {
+		t.Fatalf("record after Close = %+v, want the progress report", ws)
 	}
 }
 
@@ -442,7 +421,6 @@ func TestServiceGroupCommitHammer(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	s := openTestService(t, dir, func(c *ServiceConfig) {
-		c.Engine = EngineLSM
 		c.Counters = reg
 		c.MaxAttempts = 1 << 30
 		c.SnapshotEvery = 64
@@ -460,7 +438,7 @@ func TestServiceGroupCommitHammer(t *testing.T) {
 	t.Logf("%d commits in %d fsyncs (mean group %.1f)", appends, fsyncs, float64(appends)/float64(fsyncs))
 
 	checkLSMIndexes(t, dir, "after the hammer")
-	r := openTestService(t, dir, func(c *ServiceConfig) { c.Engine = EngineLSM })
+	r := openTestService(t, dir)
 	defer r.Close()
 	if got := normalize(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened store differs from memory: per-job WAL order is not state-machine order\ngot  %+v\nwant %+v", got, want)
@@ -481,7 +459,6 @@ func TestReadsNeverSeeRevertedState(t *testing.T) {
 			var hits atomic.Int64
 			dir := t.TempDir()
 			s := openTestService(t, dir, func(c *ServiceConfig) {
-				c.Engine = EngineLSM
 				c.MaxAttempts = 1 << 30
 				c.StoreFail = func(p string) error {
 					if p == point && hits.Add(1) == 120 {
@@ -518,7 +495,7 @@ func TestReadsNeverSeeRevertedState(t *testing.T) {
 
 			// Disk holds no less than the rolled-back memory (frames of
 			// the failed group may have been written, never acknowledged).
-			r := openTestService(t, dir, func(c *ServiceConfig) { c.Engine = EngineLSM })
+			r := openTestService(t, dir)
 			defer r.Close()
 			for _, st := range r.Statuses() {
 				if final[st.Job.Name].after(versionOf(st)) {

@@ -84,7 +84,7 @@ func TestLedgerOldLayoutUpgrade(t *testing.T) {
 	dir := t.TempDir()
 	writeOldLayout(t, dir, want)
 
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	s, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestLedgerOldLayoutUpgrade(t *testing.T) {
 	// A second open finds nothing to do: it writes nothing and reads the
 	// same ledger from the same records.
 	walWrites := 0
-	s, err = OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, StoreFail: func(point string) error {
+	s, err = OpenService(ServiceConfig{Dir: dir, StoreFail: func(point string) error {
 		if point == jobstore.FailWALWrite {
 			walWrites++
 		}
@@ -136,7 +136,7 @@ func TestLedgerUpgradeCrashSweep(t *testing.T) {
 	counter := &svcCrash{n: -1}
 	dry := t.TempDir()
 	writeOldLayout(t, dry, want)
-	s, err := OpenService(ServiceConfig{Dir: dry, Engine: EngineLSM, StoreFail: counter.fn})
+	s, err := OpenService(ServiceConfig{Dir: dry, StoreFail: counter.fn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +149,14 @@ func TestLedgerUpgradeCrashSweep(t *testing.T) {
 			dir := t.TempDir()
 			writeOldLayout(t, dir, want)
 			crash := &svcCrash{n: n, torn: torn}
-			if s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, StoreFail: crash.fn}); err == nil {
+			if s, err := OpenService(ServiceConfig{Dir: dir, StoreFail: crash.fn}); err == nil {
 				s.Close()
 			}
 			fired, point := crash.state()
 			if !fired {
 				t.Fatalf("hit %d never fired", n)
 			}
-			r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+			r, err := OpenService(ServiceConfig{Dir: dir})
 			if err != nil {
 				t.Fatalf("torn=%v crash at hit %d (%s): recovery failed: %v", torn, n, point, err)
 			}
@@ -169,43 +169,41 @@ func TestLedgerUpgradeCrashSweep(t *testing.T) {
 	}
 }
 
-func TestLedgerBitEqualAcrossReopen(t *testing.T) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		t.Run(engine, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenService(ServiceConfig{Dir: dir, Engine: engine, SnapshotEvery: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(16))
-			amounts := []float64{0.1, 0.2, 0.07, 0.35, 1e-7, 2.5e21}
-			for i := 0; i < 400; i++ {
-				if err := s.ChargeBudget(fmt.Sprintf("job-%02d", rng.Intn(50)), amounts[rng.Intn(len(amounts))]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := s.Budget()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r, err := OpenService(ServiceConfig{Dir: dir, Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			got := r.Budget()
-			if math.Float64bits(got.GlobalSpent) != math.Float64bits(want.GlobalSpent) {
-				t.Fatalf("total reopened as %v (%#x), was %v (%#x)", got.GlobalSpent, math.Float64bits(got.GlobalSpent), want.GlobalSpent, math.Float64bits(want.GlobalSpent))
-			}
-			if len(got.Jobs) != len(want.Jobs) || len(want.Jobs) != 50 {
-				t.Fatalf("%d lines reopened, %d written, want 50", len(got.Jobs), len(want.Jobs))
-			}
-			for name, spent := range want.Jobs {
-				if math.Float64bits(got.Jobs[name]) != math.Float64bits(spent) {
-					t.Fatalf("line %q reopened as %v, was %v", name, got.Jobs[name], spent)
-				}
-			}
-		})
+func TestLedgerBitEqualAcrossReopen(t *testing.T) { t.Run("lsm", testLedgerBitEqualAcrossReopen) }
+
+func testLedgerBitEqualAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	amounts := []float64{0.1, 0.2, 0.07, 0.35, 1e-7, 2.5e21}
+	for i := 0; i < 400; i++ {
+		if err := s.ChargeBudget(fmt.Sprintf("job-%02d", rng.Intn(50)), amounts[rng.Intn(len(amounts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Budget()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenService(ServiceConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := r.Budget()
+	if math.Float64bits(got.GlobalSpent) != math.Float64bits(want.GlobalSpent) {
+		t.Fatalf("total reopened as %v (%#x), was %v (%#x)", got.GlobalSpent, math.Float64bits(got.GlobalSpent), want.GlobalSpent, math.Float64bits(want.GlobalSpent))
+	}
+	if len(got.Jobs) != len(want.Jobs) || len(want.Jobs) != 50 {
+		t.Fatalf("%d lines reopened, %d written, want 50", len(got.Jobs), len(want.Jobs))
+	}
+	for name, spent := range want.Jobs {
+		if math.Float64bits(got.Jobs[name]) != math.Float64bits(spent) {
+			t.Fatalf("line %q reopened as %v, was %v", name, got.Jobs[name], spent)
+		}
 	}
 }
 
@@ -250,7 +248,7 @@ func openWithLedger(tb testing.TB, n int) (*Service, string) {
 	if err := lsm.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, SnapshotEvery: -1})
+	s, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -297,52 +295,34 @@ func TestLedgerChargeCostIsConstant(t *testing.T) {
 	}
 }
 
-// TestLedgerMixedEventReplay: a WAL-engine log that holds full-ledger
-// "budget" events from before the split and "charge" events from after
-// it replays to one ledger, and migrates to the same lines.
+// TestLedgerMixedEventReplay: the append-only log fixture holds a
+// snapshot ledger, a full-ledger "budget" event from before the split,
+// then a "charge" event written twice and a torn one. It replays to one
+// ledger and migrates to the same lines.
 func TestLedgerMixedEventReplay(t *testing.T) {
-	dir := t.TempDir()
-	log, err := jobstore.Open(dir)
+	dir := walStoreDir(t)
+	_, want, _ := walStoreWant()
+	img, err := jobstore.ReadLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []string{
-		`{"op":"budget","status":{"job":{"name":""},"state":"","attempts":0,"progress":0,"cost":0,"seq":0},"budget":{"global_spent":1,"jobs":{"a":1}}}`,
-		`{"op":"budget","budget":{"global_spent":3,"jobs":{"a":1,"b":2}}}`,
-		`{"op":"charge","budget":{"global_spent":3.5,"jobs":{"a":1.5}}}`,
-		`{"op":"charge","budget":{"global_spent":4.5,"jobs":{"c":1}}}`,
-		// At-least-once: the storage layer may replay a frame twice.
-		`{"op":"charge","budget":{"global_spent":4.5,"jobs":{"c":1}}}`,
-	} {
-		if _, err := log.Append([]byte(rec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := BudgetState{GlobalSpent: 4.5, Jobs: map[string]float64{"a": 1.5, "b": 2, "c": 1}}
-
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineWAL})
+	_, got, _, err := loadLogImage(img)
+	img.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Budget(); !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed ledger = %+v, want %+v", got, want)
-	}
-	// The service itself appends the new event kind behind the old ones.
-	if err := s.ChargeBudget("b", 0.25); err != nil {
-		t.Fatal(err)
-	}
-	want.GlobalSpent, want.Jobs["b"] = 4.75, 2.25
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 
 	if _, err := MigrateStore(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	_, lines := rawLedger(t, dir)
+	if wantLines := map[string]string{"alpha": "2.5", "beta": "0.5", "gamma": "0.25"}; !reflect.DeepEqual(lines, wantLines) {
+		t.Fatalf("migrated ledger lines = %v, want %v", lines, wantLines)
+	}
+	r, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,46 +330,52 @@ func TestLedgerMixedEventReplay(t *testing.T) {
 	if got := r.Budget(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("migrated ledger = %+v, want %+v", got, want)
 	}
+	// The migrated ledger keeps charging from where the log stopped.
+	if err := r.ChargeBudget("beta", 0.25); err != nil {
+		t.Fatal(err)
+	}
+	want.GlobalSpent, want.Jobs["beta"] = 3.5, 0.75
+	if got := r.Budget(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ledger after a charge = %+v, want %+v", got, want)
+	}
 }
 
 // TestLedgerRejectsNonFiniteCharge: NaN and ±Inf have no spelling in the
 // ledger's encoding (and strconv would write and re-read them), so a
 // charge that is one, or that would make a sum one, is refused before it
 // touches memory or the store.
-func TestLedgerRejectsNonFiniteCharge(t *testing.T) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		t.Run(engine, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenService(ServiceConfig{Dir: dir, Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.ChargeBudget("a", 0.75); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.ChargeBudget("big", math.MaxFloat64); err != nil {
-				t.Fatal(err)
-			}
-			want := s.Budget()
-			for _, amount := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64} {
-				if err := s.ChargeBudget("a", amount); err == nil {
-					t.Errorf("ChargeBudget(a, %v) succeeded, want an error", amount)
-				}
-				if got := s.Budget(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ledger after refusing %v = %+v, want %+v", amount, got, want)
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r, err := OpenService(ServiceConfig{Dir: dir, Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			if got := r.Budget(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("reopened ledger = %+v, want %+v", got, want)
-			}
-		})
+func TestLedgerRejectsNonFiniteCharge(t *testing.T) { t.Run("lsm", testLedgerRejectsNonFiniteCharge) }
+
+func testLedgerRejectsNonFiniteCharge(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenService(ServiceConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ChargeBudget("a", 0.75); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ChargeBudget("big", math.MaxFloat64); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Budget()
+	for _, amount := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64} {
+		if err := s.ChargeBudget("a", amount); err == nil {
+			t.Errorf("ChargeBudget(a, %v) succeeded, want an error", amount)
+		}
+		if got := s.Budget(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ledger after refusing %v = %+v, want %+v", amount, got, want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenService(ServiceConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.Budget(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened ledger = %+v, want %+v", got, want)
 	}
 }

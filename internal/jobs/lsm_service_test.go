@@ -1,6 +1,6 @@
 package jobs
 
-// Tests for the EngineLSM service backend: round-trip recovery, the
+// Tests for the service's LSM backend: round-trip recovery, the
 // service-level crash-equivalence harness (random lifecycle op
 // sequences against an in-memory reference model with a crash injected
 // at every storage failpoint), and property tests pinning the
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -27,93 +28,86 @@ func tenantJob(name, tenant string, priority int) Job {
 	return j
 }
 
+// TestOpenServiceUnknownEngine: LSM is the only engine. Asking for any
+// other — the retired "wal" engine included — fails before anything is
+// created in the directory, and the error names the conversion tool.
 func TestOpenServiceUnknownEngine(t *testing.T) {
-	_, err := OpenService(ServiceConfig{Dir: t.TempDir(), Engine: "btree"})
-	if err == nil || !strings.Contains(err.Error(), "unknown storage engine") {
-		t.Fatalf("err = %v, want unknown storage engine", err)
+	for _, engine := range []string{"btree", "wal"} {
+		dir := t.TempDir()
+		_, err := OpenService(ServiceConfig{Dir: dir, Engine: engine})
+		if err == nil || !strings.Contains(err.Error(), "unknown storage engine") || !strings.Contains(err.Error(), "cdas-storectl migrate") {
+			t.Fatalf("engine %q: err = %v, want unknown storage engine and the migration hint", engine, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("engine %q: refused open left %d files", engine, len(entries))
+		}
 	}
 }
 
-// TestServiceCloseIdempotent pins the Close contract for both engines:
+// TestServiceCloseIdempotent pins the Close contract:
 // Close twice is fine, Durable flips to false, reads keep working, and
 // every post-Close mutation fails with ErrServiceClosed (after rolling
 // back, so memory never acknowledges more than disk).
-func TestServiceCloseIdempotent(t *testing.T) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		t.Run(engine, func(t *testing.T) {
-			s, err := OpenService(ServiceConfig{Dir: t.TempDir(), Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Submit(testJob("keep")); err != nil {
-				t.Fatal(err)
-			}
-			if !s.Durable() {
-				t.Fatal("Durable() = false before Close")
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("second Close: %v", err)
-			}
-			if s.Durable() {
-				t.Fatal("Durable() = true after Close")
-			}
-			if _, err := s.Submit(testJob("late")); !errors.Is(err, ErrServiceClosed) {
-				t.Fatalf("Submit after Close: %v, want ErrServiceClosed", err)
-			}
-			if err := s.ChargeBudget("keep", 1); !errors.Is(err, ErrServiceClosed) {
-				t.Fatalf("ChargeBudget after Close: %v, want ErrServiceClosed", err)
-			}
-			if err := s.Cancel("keep"); !errors.Is(err, ErrServiceClosed) {
-				t.Fatalf("Cancel after Close: %v, want ErrServiceClosed", err)
-			}
-			// The in-memory view stays readable, and the rolled-back
-			// submission is gone from it.
-			if _, ok := s.Status("keep"); !ok {
-				t.Fatal("Status(keep) lost after Close")
-			}
-			if _, ok := s.Status("late"); ok {
-				t.Fatal("rolled-back post-Close submit still visible")
-			}
-		})
+func TestServiceCloseIdempotent(t *testing.T) { t.Run("lsm", testServiceCloseIdempotent) }
+
+func testServiceCloseIdempotent(t *testing.T) {
+	s, err := OpenService(ServiceConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(testJob("keep")); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Durable() {
+		t.Fatal("Durable() = false before Close")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if s.Durable() {
+		t.Fatal("Durable() = true after Close")
+	}
+	if _, err := s.Submit(testJob("late")); !errors.Is(err, ErrServiceClosed) {
+		t.Fatalf("Submit after Close: %v, want ErrServiceClosed", err)
+	}
+	if err := s.ChargeBudget("keep", 1); !errors.Is(err, ErrServiceClosed) {
+		t.Fatalf("ChargeBudget after Close: %v, want ErrServiceClosed", err)
+	}
+	if err := s.Cancel("keep"); !errors.Is(err, ErrServiceClosed) {
+		t.Fatalf("Cancel after Close: %v, want ErrServiceClosed", err)
+	}
+	// The in-memory view stays readable, and the rolled-back
+	// submission is gone from it.
+	if _, ok := s.Status("keep"); !ok {
+		t.Fatal("Status(keep) lost after Close")
+	}
+	if _, ok := s.Status("late"); ok {
+		t.Fatal("rolled-back post-Close submit still visible")
 	}
 }
 
-// TestOpenServiceEngineMismatch: booting one engine over the other
-// engine's store must fail loudly instead of coming up empty.
+// TestOpenServiceEngineMismatch: booting over a store in the old
+// append-only log format must fail loudly, point at the conversion tool
+// and leave the directory as it was, instead of coming up empty.
 func TestOpenServiceEngineMismatch(t *testing.T) {
-	walDir := t.TempDir()
-	s, err := OpenService(ServiceConfig{Dir: walDir, Engine: EngineWAL})
-	if err != nil {
-		t.Fatal(err)
+	dir := walStoreDir(t)
+	if _, err := OpenService(ServiceConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), "cdas-storectl migrate -dir "+dir) {
+		t.Fatalf("open over a log store: err = %v, want the migration hint", err)
 	}
-	if _, err := s.Submit(testJob("a")); err != nil {
-		t.Fatal(err)
+	if _, hasLSM := jobstore.DetectEngines(dir); hasLSM {
+		t.Fatal("refused open created an LSM store")
 	}
-	s.Close()
-	if _, err := OpenService(ServiceConfig{Dir: walDir, Engine: EngineLSM}); err == nil || !strings.Contains(err.Error(), "cdas-storectl migrate") {
-		t.Fatalf("lsm over wal store: err = %v, want migration hint", err)
-	}
-
-	lsmDir := t.TempDir()
-	s, err = OpenService(ServiceConfig{Dir: lsmDir, Engine: EngineLSM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(testJob("a")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if _, err := OpenService(ServiceConfig{Dir: lsmDir, Engine: EngineWAL}); err == nil || !strings.Contains(err.Error(), "store-engine=lsm") {
-		t.Fatalf("wal over lsm store: err = %v, want engine hint", err)
+	if extra := lsmFiles(t, dir); len(extra) != 0 {
+		t.Fatalf("refused open left files: %v", extra)
 	}
 }
 
 func TestLSMServiceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, SnapshotEvery: 4})
+	s, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +140,7 @@ func TestLSMServiceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	r, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +349,7 @@ func TestServiceCrashEquivalence(t *testing.T) {
 			// hits land in a deterministic position in the global order —
 			// the sweep below replays the same schedule.
 			counter := &svcCrash{n: -1}
-			dry, err := OpenService(ServiceConfig{Dir: t.TempDir(), Engine: EngineLSM, SnapshotEvery: 3, StoreFail: counter.fn})
+			dry, err := OpenService(ServiceConfig{Dir: t.TempDir(), SnapshotEvery: 3, StoreFail: counter.fn})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,7 +365,7 @@ func TestServiceCrashEquivalence(t *testing.T) {
 			for n := 1; n <= counter.totalHits(); n++ {
 				dir := t.TempDir()
 				crash := &svcCrash{n: n, torn: torn}
-				s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, SnapshotEvery: 3, StoreFail: crash.fn})
+				s, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: 3, StoreFail: crash.fn})
 				if err != nil {
 					t.Fatalf("seed %d n %d: open: %v", seed, n, err)
 				}
@@ -393,7 +387,7 @@ func TestServiceCrashEquivalence(t *testing.T) {
 				_, crashPoint := crash.state()
 				crashedPoints[crashPoint] = true
 
-				r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+				r, err := OpenService(ServiceConfig{Dir: dir})
 				if err != nil {
 					t.Fatalf("seed %d n %d (%s): recovery failed: %v", seed, n, crashPoint, err)
 				}
@@ -626,7 +620,7 @@ func TestServiceGroupCrashEquivalence(t *testing.T) {
 		t.Skip("crash sweep is not short")
 	}
 	open := func(dir string, fail jobstore.FailFunc) *Service {
-		s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, SnapshotEvery: 7, MaxAttempts: 2, StoreFail: fail})
+		s, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: 7, MaxAttempts: 2, StoreFail: fail})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -667,7 +661,7 @@ func TestServiceGroupCrashEquivalence(t *testing.T) {
 				}
 			}
 
-			r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+			r, err := OpenService(ServiceConfig{Dir: dir})
 			if err != nil {
 				t.Fatalf("%s: recovery failed: %v", label, err)
 			}
@@ -720,7 +714,7 @@ func TestServiceGroupCrashEquivalence(t *testing.T) {
 				}
 			}
 
-			r2, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+			r2, err := OpenService(ServiceConfig{Dir: dir})
 			if err != nil {
 				t.Fatalf("%s: second recovery failed: %v", label, err)
 			}
@@ -745,7 +739,7 @@ func TestServiceGroupCrashEquivalence(t *testing.T) {
 func TestLSMSecondaryIndexConsistency(t *testing.T) {
 	for _, seed := range []int64{21, 22} {
 		dir := t.TempDir()
-		s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM, SnapshotEvery: 2})
+		s, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,9 @@
-// One-shot WAL→LSM store migration: read a WAL-engine directory
-// through the existing replay path, write an equivalent LSM store —
-// primary records plus all three secondary indexes, committed in
-// atomic batches — verify the two stores agree, then retire the WAL
-// files. cdas-storectl is the CLI front end.
+// One-shot store migration: read a directory in the append-only log
+// format that stores were kept in before the LSM engine (wal.dat plus
+// snapshot.dat), write an equivalent LSM store — primary records plus
+// all three secondary indexes, committed in atomic batches — verify the
+// two agree, then retire the log files. cdas-storectl is the CLI front
+// end.
 package jobs
 
 import (
@@ -32,22 +33,22 @@ type MigrateResult struct {
 	Jobs int
 	// BudgetMoved reports a non-empty budget ledger was carried over.
 	BudgetMoved bool
-	// Retired lists the WAL-engine files renamed aside (*.retired);
+	// Retired lists the append-only log files renamed aside (*.retired);
 	// renaming them back is the rollback path.
 	Retired []string
 	// Resumed reports that a partial earlier migration was discarded
-	// and redone from the (still authoritative) WAL store.
+	// and redone from the still authoritative log.
 	Resumed bool
 }
 
-// MigrateStore converts the WAL-engine store in dir to the LSM engine,
-// in place. The conversion is safe to re-run: until the final retire
-// step the WAL files remain the authority, and a partial LSM store
-// from an interrupted run is discarded and rebuilt. Before retiring
-// anything the new store is reopened cold and verified record-for-
-// record against the WAL replay — the same Statuses() view a booted
-// service would serve — plus the budget ledger. logf (optional)
-// receives progress lines.
+// MigrateStore converts the append-only log store in dir to the LSM
+// engine, in place. The conversion is safe to re-run: until the final
+// retire step the log files remain the authority, and a partial LSM
+// store from an interrupted run is discarded and rebuilt. Before
+// retiring anything the new store is reopened cold and verified
+// record-for-record against the log's replay — the same Statuses() view
+// a booted service would serve — plus the budget ledger and the stream
+// marks. logf (optional) receives progress lines.
 func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateResult, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -57,10 +58,20 @@ func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateRes
 	switch {
 	case !hasWAL && !hasLSM:
 		return res, fmt.Errorf("jobs: %s holds no job store", dir)
-	case !hasWAL && hasLSM:
+	case !hasWAL:
 		return res, ErrAlreadyMigrated
-	case hasWAL && hasLSM:
-		// An interrupted migration: the WAL is still authoritative, so
+	}
+
+	// The reader's flock is the migration lock, held to the end: a
+	// second migrate, or an old server still writing the log, holds it
+	// and fails this read with ErrLocked.
+	img, err := jobstore.ReadLog(dir)
+	if err != nil {
+		return res, err
+	}
+	defer img.Close()
+	if hasLSM {
+		// An interrupted migration: the log is still authoritative, so
 		// the partial LSM store is garbage. Start over.
 		logf("discarding partial LSM store from an interrupted migration")
 		if err := jobstore.RemoveLSMFiles(dir); err != nil {
@@ -69,20 +80,12 @@ func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateRes
 		res.Resumed = true
 	}
 
-	// The Log's flock doubles as the migration lock: a live server (or
-	// a second migrate) holds it and fails this open with ErrLocked.
-	log, err := jobstore.Open(dir)
-	if err != nil {
-		return res, err
-	}
-	defer log.Close()
-
-	src, budget, streams, err := loadWALState(log)
+	src, budget, streams, err := loadLogImage(img)
 	if err != nil {
 		return res, err
 	}
 	statuses := src.Statuses()
-	logf("replayed WAL store: %d jobs", len(statuses))
+	logf("replayed the append-only log: %d jobs", len(statuses))
 
 	if err := writeLSMStore(dir, statuses, budget, streams); err != nil {
 		return res, err
@@ -92,16 +95,81 @@ func MigrateStore(dir string, logf func(format string, args ...any)) (MigrateRes
 	if err := verifyLSMStore(dir, statuses, budget, streams); err != nil {
 		return res, err
 	}
-	logf("verification passed: LSM view matches WAL replay")
+	logf("verification passed: LSM view matches the log's replay")
 
 	retired, err := jobstore.RetireLogFiles(dir)
 	if err != nil {
-		return res, fmt.Errorf("jobs: retiring WAL files: %w", err)
+		return res, fmt.Errorf("jobs: retiring log files: %w", err)
 	}
 	res.Jobs = len(statuses)
 	res.BudgetMoved = budget.GlobalSpent > 0 || len(budget.Jobs) > 0
 	res.Retired = retired
 	return res, nil
+}
+
+// logSnapshot is the append-only log's snapshot payload: every job's
+// record plus the budget ledger and the continuous jobs' stream marks.
+type logSnapshot struct {
+	Jobs    []walStatus    `json:"jobs"`
+	Budget  *BudgetState   `json:"budget,omitempty"`
+	Streams []streamRecord `json:"streams,omitempty"`
+}
+
+// loadLogImage replays an append-only log store — the snapshot, then
+// every event after it — into a Manager, the ledger and the stream
+// marks. It copies records verbatim: requeueing what the dead process
+// was running is the booted service's step, not the migration's. Every
+// event is an absolute value, so a frame the log holds twice replays
+// the same; a "budget" event, from logs written before the ledger was
+// split, replaces the whole ledger.
+func loadLogImage(img *jobstore.LogImage) (*Manager, BudgetState, map[string]StreamMark, error) {
+	m := NewManager()
+	var budget BudgetState
+	streams := map[string]StreamMark{}
+	if img.Snapshot != nil {
+		var snap logSnapshot
+		if err := json.Unmarshal(img.Snapshot, &snap); err != nil {
+			return nil, budget, nil, fmt.Errorf("jobs: decoding snapshot: %w", err)
+		}
+		for _, st := range snap.Jobs {
+			m.restore(fromWal(st))
+		}
+		if snap.Budget != nil {
+			budget = *snap.Budget
+		}
+		for _, sr := range snap.Streams {
+			streams[sr.Job] = sr.Mark
+		}
+	}
+	for i, rec := range img.Entries {
+		var ev walEvent
+		if err := json.Unmarshal(rec, &ev); err != nil {
+			return nil, budget, nil, fmt.Errorf("jobs: decoding log record %d: %w", i, err)
+		}
+		switch ev.Op {
+		case "budget":
+			if ev.Budget != nil {
+				budget = *ev.Budget
+			}
+		case "charge":
+			if ev.Budget != nil {
+				budget.GlobalSpent = ev.Budget.GlobalSpent
+				if budget.Jobs == nil {
+					budget.Jobs = make(map[string]float64)
+				}
+				for name, spent := range ev.Budget.Jobs {
+					budget.Jobs[name] = spent
+				}
+			}
+		case "stream":
+			if ev.Stream != nil {
+				streams[ev.Stream.Job] = ev.Stream.Mark
+			}
+		default:
+			m.restore(fromWal(ev.Status))
+		}
+	}
+	return m, budget, streams, nil
 }
 
 // writeLSMStore creates the LSM store and commits every job's primary
@@ -173,7 +241,8 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 }
 
 // verifyLSMStore reopens the converted store cold and asserts its
-// Statuses() view and budget ledger are deep-equal to the WAL replay's,
+// Statuses() view, budget ledger and stream marks are deep-equal to the
+// log's replay,
 // and that every record's index entries are present — the gate the old
 // store is retired behind.
 func verifyLSMStore(dir string, want []Status, wantBudget BudgetState, wantStreams map[string]StreamMark) error {
@@ -183,51 +252,19 @@ func verifyLSMStore(dir string, want []Status, wantBudget BudgetState, wantStrea
 	}
 	defer lsm.Close()
 	m := NewManager()
-	var decodeErr error
-	err = lsm.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(key string, val []byte) bool {
-		var ws walStatus
-		if decodeErr = json.Unmarshal(val, &ws); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: verification: decoding %q: %w", key, decodeErr)
-			return false
-		}
-		m.restore(fromWal(ws))
-		return true
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return err
-	}
-	got := m.Statuses()
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("jobs: verification failed: LSM view (%d jobs) differs from WAL replay (%d jobs)", len(got), len(want))
-	}
-	gotBudget, unsplit, err := loadLSMBudget(lsm)
+	gotBudget, unsplit, gotStreams, err := loadLSMState(lsm, m)
 	if err != nil {
 		return fmt.Errorf("jobs: verification: %w", err)
 	}
+	got := m.Statuses()
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("jobs: verification failed: LSM view (%d jobs) differs from the log's replay (%d jobs)", len(got), len(want))
+	}
 	if unsplit || !reflect.DeepEqual(gotBudget, wantBudget) {
-		return fmt.Errorf("jobs: verification failed: budget %+v (one line per job: %v) differs from WAL replay's %+v", gotBudget, !unsplit, wantBudget)
-	}
-	gotStreams := map[string]StreamMark{}
-	err = lsm.Scan(lsmStreamPrefix, prefixEnd(lsmStreamPrefix), func(key string, val []byte) bool {
-		var sr streamRecord
-		if decodeErr = json.Unmarshal(val, &sr); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: verification: decoding stream mark %q: %w", key, decodeErr)
-			return false
-		}
-		gotStreams[sr.Job] = sr.Mark
-		return true
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return err
+		return fmt.Errorf("jobs: verification failed: budget %+v (one line per job: %v) differs from the log's %+v", gotBudget, !unsplit, wantBudget)
 	}
 	if !reflect.DeepEqual(gotStreams, wantStreams) {
-		return fmt.Errorf("jobs: verification failed: stream marks %+v differ from WAL replay's %+v", gotStreams, wantStreams)
+		return fmt.Errorf("jobs: verification failed: stream marks %+v differ from the log's %+v", gotStreams, wantStreams)
 	}
 	// Spot-check the secondary indexes: exactly one state entry per
 	// job, pointing at the record's current state and seq.

@@ -1,84 +1,166 @@
 package jobs
 
-// Migration tests: WAL→LSM conversion round-trips the full service
-// state (lifecycle records, budget ledger, secondary indexes), is
-// resumable after an interruption, refuses bad inputs, and leaves a
-// working rollback path.
+// Migration tests: converting the committed append-only log fixture
+// (testdata/walstore, written by gen_walstore.go) round-trips the full
+// service state (lifecycle records, budget ledger, stream marks,
+// secondary indexes), is resumable after an interruption, refuses bad
+// inputs, and leaves a working rollback path.
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cdas/internal/jobstore"
 )
 
-// seedWALStore drives random lifecycle traffic into a WAL-engine store
-// and returns its normalized view and budget (the migration's ground
-// truth).
-func seedWALStore(t *testing.T, dir string, seed int64, n int) (map[string]normStatus, BudgetState) {
+// walStoreFiles are the append-only log fixture's files.
+var walStoreFiles = []string{"wal.dat", "snapshot.dat"}
+
+// walStoreDir copies the append-only log fixture into a fresh directory.
+func walStoreDir(t *testing.T) string {
 	t.Helper()
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineWAL, SnapshotEvery: 16})
+	dir := t.TempDir()
+	for _, name := range walStoreFiles {
+		data, err := os.ReadFile(filepath.Join("testdata", "walstore", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// walStoreJob is the job every fixture record carries, bar name, tenant
+// and priority.
+func walStoreJob(name, tenant string, priority int) Job {
+	q := Query{Keywords: []string{"iPhone4S"}, RequiredAccuracy: 0.9, Domain: []string{"Good", "Bad"},
+		Start: time.Date(2011, 10, 14, 0, 0, 0, 0, time.UTC), Window: 24 * time.Hour}
+	return Job{Name: name, Kind: KindTSA, Tenant: tenant, Priority: priority, Query: q}
+}
+
+// walStoreWant is what the fixture holds: the jobs as a booted service
+// serves them (beta was running, so boot requeues it), the ledger and
+// the stream marks. The stale frame below the snapshot watermark (alpha
+// back to running) and the torn last charge must not show.
+func walStoreWant() (map[string]normStatus, BudgetState, map[string]StreamMark) {
+	jobs := map[string]normStatus{
+		"alpha": {Job: walStoreJob("alpha", "acme", 1), State: StateDone, Attempts: 1, Progress: 1, Cost: 2.5},
+		"beta":  {Job: walStoreJob("beta", "", 0), State: StatePending, Attempts: 1, Cost: 0.75},
+		"gamma": {Job: walStoreJob("gamma", "acme", -2), State: StateFailed, Attempts: 1, Cost: 0.25, Error: "domain superset: jobs: permanent job failure"},
+		"delta": {Job: walStoreJob("delta", "globex", 2), State: StateCancelled},
+	}
+	budget := BudgetState{GlobalSpent: 3.25, Jobs: map[string]float64{"alpha": 2.5, "beta": 0.5, "gamma": 0.25}}
+	enum := &EnumProgress{
+		Counts:        map[string]int{"adams": 1, "lincoln": 1, "obama": 2, "washington": 1},
+		Display:       map[string]string{"adams": "Adams", "lincoln": "Lincoln", "obama": "Obama", "washington": "Washington"},
+		FirstBatch:    map[string]int{"adams": 0, "lincoln": 0, "obama": 0, "washington": 0},
+		Contributions: 5,
+	}
+	marks := map[string]StreamMark{
+		"feed":    {Window: 2, Spent: 0.3, Seen: 36, Matched: 27, Dropped: 2, Degraded: 1},
+		"harvest": {Window: 0, Spent: 0.22, Seen: 5, Matched: 4, Enum: enum},
+	}
+	return jobs, budget, marks
+}
+
+// checkWALStoreServed asserts a booted service serves exactly the
+// fixture's state.
+func checkWALStoreServed(t *testing.T, s *Service) {
+	t.Helper()
+	wantJobs, wantBudget, wantMarks := walStoreWant()
+	if got := normalize(s); !reflect.DeepEqual(got, wantJobs) {
+		t.Fatalf("jobs differ:\ngot  %+v\nwant %+v", got, wantJobs)
+	}
+	if got := s.Budget(); !reflect.DeepEqual(got, wantBudget) {
+		t.Fatalf("budget = %+v, want %+v", got, wantBudget)
+	}
+	for name, want := range wantMarks {
+		if got, ok := s.StreamMarkFor(name); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("stream mark %s = %+v (%v), want %+v", name, got, ok, want)
+		}
+	}
+}
+
+// lsmFiles lists the files in dir that are not the fixture's.
+func lsmFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range genSvcOps(seed, n) {
-		applySvcOp(s, op)
+	var extra []string
+	for _, de := range entries {
+		if !slices.Contains(walStoreFiles, de.Name()) {
+			extra = append(extra, de.Name())
+		}
 	}
-	want := normalize(s)
-	budget := s.Budget()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("seed produced no jobs")
-	}
-	return want, budget
+	return extra
 }
 
 func TestMigrateStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want, wantBudget := seedWALStore(t, dir, 77, 200)
+	dir := walStoreDir(t)
+
+	// The replay is verbatim: beta is still running in the log.
+	img, err := jobstore.ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _, _, err := loadLogImage(img)
+	img.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !img.TailTruncated {
+		t.Fatal("the fixture's torn last frame was not reported")
+	}
+	if st, _ := src.Status("beta"); st.State != StateRunning || st.Progress != 0.5 {
+		t.Fatalf("replayed beta = %+v, want the running record with its progress", st)
+	}
 
 	res, err := MigrateStore(dir, t.Logf)
 	if err != nil {
 		t.Fatalf("MigrateStore: %v", err)
 	}
-	if res.Jobs != len(want) {
-		t.Fatalf("migrated %d jobs, want %d", res.Jobs, len(want))
+	if res.Jobs != 4 || !res.BudgetMoved || res.Resumed {
+		t.Fatalf("MigrateStore = %+v, want 4 jobs and the ledger carried", res)
 	}
-	if len(res.Retired) == 0 {
-		t.Fatal("no WAL files retired")
+	if len(res.Retired) != len(walStoreFiles) {
+		t.Fatalf("retired %v, want both log files", res.Retired)
+	}
+	// Reading the log wrote nothing to it: the torn tail is still there.
+	for _, name := range walStoreFiles {
+		want, _ := os.ReadFile(filepath.Join("testdata", "walstore", name))
+		got, err := os.ReadFile(filepath.Join(dir, name+".retired"))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s.retired differs from the fixture (%v)", name, err)
+		}
 	}
 
 	// The converted store holds the ledger the way the service writes it:
 	// the total alone under "b", one line per job under b/.
-	if len(wantBudget.Jobs) == 0 {
-		t.Fatal("seed charged no job: the ledger layout goes unchecked")
-	}
+	_, wantBudget, _ := walStoreWant()
 	total, lines := rawLedger(t, dir)
 	if strings.Contains(total, "jobs") || len(lines) != len(wantBudget.Jobs) {
 		t.Fatalf("converted ledger: b = %s with %d b/ lines, want the total alone and %d lines", total, len(lines), len(wantBudget.Jobs))
 	}
 
-	// The migrated store must boot as the LSM engine and serve the
-	// exact state the WAL engine held (normalize folds the shared
-	// requeue-Running-on-boot rule).
-	r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	r, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("boot after migration: %v", err)
 	}
-	got := normalize(r)
-	gotBudget := r.Budget()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated state differs:\ngot  %v\nwant %v", got, want)
+	if got := r.Resumed(); !reflect.DeepEqual(got, []string{"beta"}) {
+		t.Fatalf("Resumed = %v, want [beta]", got)
 	}
-	if !reflect.DeepEqual(gotBudget, wantBudget) {
-		t.Fatalf("migrated budget = %+v, want %+v", gotBudget, wantBudget)
-	}
+	checkWALStoreServed(t, r)
 	// And it must keep working as a live store.
 	if _, err := r.Submit(testJob("post-migration")); err != nil {
 		t.Fatal(err)
@@ -86,7 +168,7 @@ func TestMigrateStoreRoundTrip(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	r2, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +179,7 @@ func TestMigrateStoreRoundTrip(t *testing.T) {
 }
 
 func TestMigrateStoreResumable(t *testing.T) {
-	dir := t.TempDir()
-	want, _ := seedWALStore(t, dir, 78, 120)
+	dir := walStoreDir(t)
 
 	// Fake an interrupted migration: a partial LSM store holding a
 	// record the real conversion would never write.
@@ -112,7 +193,7 @@ func TestMigrateStoreResumable(t *testing.T) {
 	l.Close()
 
 	// The service must refuse to boot the ambiguous directory...
-	if _, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM}); err == nil || !strings.Contains(err.Error(), "interrupted migration") {
+	if _, err := OpenService(ServiceConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), "interrupted migration") {
 		t.Fatalf("boot over partial migration: err = %v, want interrupted-migration refusal", err)
 	}
 	// ...and a re-run must discard the partial store and finish.
@@ -123,14 +204,12 @@ func TestMigrateStoreResumable(t *testing.T) {
 	if !res.Resumed {
 		t.Fatal("Resumed = false, want true")
 	}
-	r, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineLSM})
+	r, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !reflect.DeepEqual(normalize(r), want) {
-		t.Fatal("resumed migration state differs from WAL ground truth")
-	}
+	checkWALStoreServed(t, r)
 	if _, ok := r.Status("ghost-from-partial-run"); ok {
 		t.Fatal("partial-run record survived the resume")
 	}
@@ -144,8 +223,7 @@ func TestMigrateStoreEdgeCases(t *testing.T) {
 
 	// Already migrated: distinct sentinel, so CLIs can treat a re-run
 	// as success.
-	dir := t.TempDir()
-	seedWALStore(t, dir, 79, 40)
+	dir := walStoreDir(t)
 	if _, err := MigrateStore(dir, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -153,31 +231,41 @@ func TestMigrateStoreEdgeCases(t *testing.T) {
 		t.Fatalf("second migrate: %v, want ErrAlreadyMigrated", err)
 	}
 
-	// A live server holds the store lock: migration must refuse.
-	lockedDir := t.TempDir()
-	s, err := OpenService(ServiceConfig{Dir: lockedDir, Engine: EngineWAL})
+	// Another reader holds the log's lock — a concurrent migrate, or an
+	// old server still writing it: migration must refuse, and must not
+	// touch a partial LSM store that the holder may be writing.
+	lockedDir := walStoreDir(t)
+	held, err := jobstore.ReadLog(lockedDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(testJob("held")); err != nil {
+	defer held.Close()
+	l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: lockedDir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	if err := l.Put(lsmPrimaryKey("in-flight"), []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	before := lsmFiles(t, lockedDir)
 	if _, err := MigrateStore(lockedDir, nil); !errors.Is(err, jobstore.ErrLocked) {
 		t.Fatalf("migrating a locked store: %v, want ErrLocked", err)
+	}
+	if after := lsmFiles(t, lockedDir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused migrate changed the LSM files: %v, were %v", after, before)
 	}
 }
 
 func TestMigrateStoreRollback(t *testing.T) {
-	dir := t.TempDir()
-	want, wantBudget := seedWALStore(t, dir, 80, 100)
+	dir := walStoreDir(t)
 	res, err := MigrateStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Rollback: remove the LSM files, restore the retired WAL files,
-	// boot the WAL engine — the original store, untouched.
+	// Rollback: remove the LSM files and restore the retired log files —
+	// the original store, byte for byte, which migrates again.
 	if err := jobstore.RemoveLSMFiles(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +274,22 @@ func TestMigrateStoreRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := OpenService(ServiceConfig{Dir: dir, Engine: EngineWAL})
+	if extra := lsmFiles(t, dir); len(extra) != 0 {
+		t.Fatalf("files left after rollback: %v", extra)
+	}
+	for _, name := range walStoreFiles {
+		want, _ := os.ReadFile(filepath.Join("testdata", "walstore", name))
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("rolled-back %s differs from the original (%v)", name, err)
+		}
+	}
+	if _, err := MigrateStore(dir, nil); err != nil {
+		t.Fatalf("migrating the rolled-back store: %v", err)
+	}
+	r, err := OpenService(ServiceConfig{Dir: dir})
 	if err != nil {
-		t.Fatalf("rollback boot: %v", err)
+		t.Fatal(err)
 	}
-	defer s.Close()
-	if !reflect.DeepEqual(normalize(s), want) {
-		t.Fatal("rolled-back state differs from the original")
-	}
-	if !reflect.DeepEqual(s.Budget(), wantBudget) {
-		t.Fatal("rolled-back budget differs from the original")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("LSM MANIFEST still present after rollback cleanup (stat err %v)", err)
-	}
+	defer r.Close()
+	checkWALStoreServed(t, r)
 }

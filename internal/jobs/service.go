@@ -1,7 +1,7 @@
 // Durable job service: a Manager whose every lifecycle change is
-// committed to a jobstore WAL before it is acknowledged, so a killed
-// server replays the log on restart, requeues the jobs it was running
-// and never re-runs a finished one.
+// committed to the jobstore LSM before it is acknowledged, so a killed
+// server boots from the store's checkpoint and WAL tail, requeues the
+// jobs it was running and never re-runs a finished one.
 package jobs
 
 import (
@@ -17,19 +17,10 @@ import (
 	"cdas/internal/metrics"
 )
 
-// Storage engine names for ServiceConfig.Engine.
-const (
-	// EngineWAL is the original append-only log: every event replayed
-	// from seq zero (or the latest snapshot) at boot. Still selectable;
-	// cdas-storectl migrate converts a WAL store to LSM in place.
-	EngineWAL = "wal"
-	// EngineLSM is the indexed store: an LSM tree holding each job's
-	// current record under a primary key plus (state, priority, tenant)
-	// secondary indexes, booted from the newest checkpoint + WAL tail.
-	// It is the production default (cdas-server's -store-engine flag
-	// defaults to it); checkpoints flush off the commit path.
-	EngineLSM = "lsm"
-)
+// EngineLSM names the storage engine in ServiceConfig.Engine.
+//
+// Deprecated: LSM is the only engine.
+const EngineLSM = "lsm"
 
 // ErrServiceClosed is returned by every mutation after Close.
 var ErrServiceClosed = errors.New("jobs: service is closed")
@@ -37,25 +28,27 @@ var ErrServiceClosed = errors.New("jobs: service is closed")
 // ServiceConfig tunes OpenService. The zero value is a volatile
 // (memory-only) service with default retry and compaction settings.
 type ServiceConfig struct {
-	// Dir roots the store's files. Empty disables persistence: the
-	// service still runs the full lifecycle, in memory only.
+	// Dir roots the store's files: an LSM tree holding each job's
+	// current record under a primary key plus (state, priority, tenant)
+	// secondary indexes, booted from the newest checkpoint + WAL tail.
+	// Empty disables persistence: the service still runs the full
+	// lifecycle, in memory only. A directory still holding a store in
+	// the older append-only log format is refused until cdas-storectl
+	// migrate has converted it.
 	Dir string
-	// Engine selects the storage engine: EngineWAL (the default when
-	// empty, for compatibility) or EngineLSM. The engines use disjoint
-	// file names and do not share state; OpenService refuses to boot an
-	// engine against a directory holding the other engine's store —
-	// migrate with cdas-storectl instead of switching in place.
+	// Engine is empty or EngineLSM; OpenService refuses any other value.
+	//
+	// Deprecated: LSM is the only engine.
 	Engine string
 	// MaxAttempts bounds the retry loop (default DefaultMaxAttempts).
 	MaxAttempts int
-	// SnapshotEvery compacts the store after this many committed events
-	// (default 256; negative disables compaction). Under EngineWAL this
-	// writes a snapshot; under EngineLSM it cuts a checkpoint.
+	// SnapshotEvery cuts a store checkpoint after this many committed
+	// events (default 256; negative disables checkpoints).
 	SnapshotEvery int
 	// Counters, when set, receives lifecycle and WAL counters.
 	Counters *metrics.Registry
-	// StoreFail injects storage failpoints (EngineLSM only) — the
-	// crash-equivalence tests' hook. Leave nil in production.
+	// StoreFail injects storage failpoints — the crash-equivalence
+	// tests' hook. Leave nil in production.
 	StoreFail jobstore.FailFunc
 	// Logf, when set, receives operational log lines (checkpoint
 	// failures and the like). Nil discards them.
@@ -75,13 +68,12 @@ type Service struct {
 	cfg ServiceConfig
 	m   *Manager
 
-	// mu serialises state mutation with staging, so the log's event order
+	// mu serialises state mutation with staging, so the store's event order
 	// always matches the order the state machine applied them in. It is
 	// never held across store I/O on the commit path.
 	mu      sync.Mutex
-	log     *jobstore.Log // EngineWAL backend (nil otherwise); immutable after open
-	lsm     *jobstore.LSM // EngineLSM backend (nil otherwise); immutable after open
-	events  int           // staged events since the last LSM checkpoint was cut
+	lsm     *jobstore.LSM // the store (nil when volatile); immutable after open
+	events  int           // staged events since the last checkpoint was cut
 	closed  bool
 	wake    chan struct{}
 	resumed []string
@@ -178,8 +170,8 @@ func prefixEnd(prefix string) string {
 
 // BudgetState is the durable crowd-budget ledger the scheduler's
 // accounting is persisted through: global spend plus per-job spend,
-// WAL-committed so a restarted server keeps charging from where the
-// dead one stopped rather than re-granting spent money.
+// committed so a restarted server keeps charging from where the dead
+// one stopped rather than re-granting spent money.
 type BudgetState struct {
 	// GlobalSpent is the total crowd spend across every job.
 	GlobalSpent float64 `json:"global_spent"`
@@ -254,11 +246,47 @@ func loadLSMBudget(lsm *jobstore.LSM) (b BudgetState, unsplit bool, err error) {
 	return b, false, err
 }
 
+// loadLSMState reads a store back: every job's primary record restored
+// into m, the budget ledger (unsplit as loadLSMBudget reports it) and the
+// stream marks. Boot and the migration's verification both read through
+// it, so they see a store the same way.
+func loadLSMState(lsm *jobstore.LSM, m *Manager) (budget BudgetState, unsplit bool, streams map[string]StreamMark, err error) {
+	if budget, unsplit, err = loadLSMBudget(lsm); err != nil {
+		return budget, unsplit, nil, err
+	}
+	streams = map[string]StreamMark{}
+	var decodeErr error
+	err = lsm.Scan(lsmStreamPrefix, prefixEnd(lsmStreamPrefix), func(key string, val []byte) bool {
+		var sr streamRecord
+		if decodeErr = json.Unmarshal(val, &sr); decodeErr != nil {
+			decodeErr = fmt.Errorf("jobs: decoding stream mark %q: %w", key, decodeErr)
+			return false
+		}
+		streams[sr.Job] = sr.Mark
+		return true
+	})
+	if err == nil && decodeErr == nil {
+		err = lsm.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(key string, val []byte) bool {
+			var ws walStatus
+			if decodeErr = json.Unmarshal(val, &ws); decodeErr != nil {
+				decodeErr = fmt.Errorf("jobs: decoding job record %q: %w", key, decodeErr)
+				return false
+			}
+			m.restore(fromWal(ws))
+			return true
+		})
+	}
+	if err == nil {
+		err = decodeErr
+	}
+	return budget, unsplit, streams, err
+}
+
 // StreamMark is a continuous job's durable stream position: the highest
 // event-time window already closed plus the cumulative accounting up to
 // and including it. It is committed like any other transition (same
-// WAL/LSM path, fsync on commit), so a kill -9 resumes the stream at
-// the next window without re-charging the closed ones.
+// store path, fsync on commit), so a kill -9 resumes the stream at the
+// next window without re-charging the closed ones.
 type StreamMark struct {
 	// Window is the highest closed window index; -1 before any close.
 	Window int `json:"window"`
@@ -325,14 +353,15 @@ func (m StreamMark) clone() StreamMark {
 	return m
 }
 
-// streamRecord pairs a job name with its mark for WAL/snapshot framing.
+// streamRecord pairs a job name with its mark, as stored under sm/<name>.
 type streamRecord struct {
 	Job  string     `json:"job"`
 	Mark StreamMark `json:"mark"`
 }
 
-// walStatus is a job lifecycle record as written to the WAL and
-// snapshot. It mirrors Status plus the FIFO sequence.
+// walStatus is a job lifecycle record as stored under j/<name> (and as
+// the append-only log format wrote it). It mirrors Status plus the FIFO
+// sequence.
 type walStatus struct {
 	Job      Job     `json:"job"`
 	State    State   `json:"state"`
@@ -343,27 +372,19 @@ type walStatus struct {
 	Seq      uint64  `json:"seq"`
 }
 
-// walEvent is one WAL record. Lifecycle events ("submit", "update")
-// carry the full post-transition record of the job they concern, which
-// makes replay a plain overwrite — trivially idempotent under the
-// storage layer's at-least-once crash windows. A "charge" event carries
-// the post-charge total and the one ledger line the charge moved, as
-// absolute values, for the same reason: replay overwrites those two. Logs
-// written before the ledger was split hold "budget" events, each the full
-// ledger; replay keeps the last one.
+// walEvent is one committed transition, which lsmBatch turns into the
+// store's atomic batch. Lifecycle events ("submit", "update") carry the
+// full post-transition record of the job they concern; a "charge" event
+// carries the post-charge total and the one ledger line the charge moved;
+// a "stream" event carries the mark. All are absolute values, so applying
+// one twice is a plain overwrite. It is also the record format of the
+// append-only log, whose older stores hold "budget" events (each the full
+// ledger) as well; loadLogImage replays those for migration.
 type walEvent struct {
 	Op     string        `json:"op"` // "submit", "update", "charge", "stream" or (old logs) "budget"
 	Status walStatus     `json:"status,omitempty"`
 	Budget *BudgetState  `json:"budget,omitempty"`
 	Stream *streamRecord `json:"stream,omitempty"`
-}
-
-// walSnapshot is the snapshot payload: every job's current record plus
-// the budget ledger and the continuous jobs' stream marks.
-type walSnapshot struct {
-	Jobs    []walStatus    `json:"jobs"`
-	Budget  *BudgetState   `json:"budget,omitempty"`
-	Streams []streamRecord `json:"streams,omitempty"`
 }
 
 func toWal(st Status) walStatus {
@@ -390,11 +411,14 @@ func fromWal(ws walStatus) Status {
 	}
 }
 
-// OpenService opens (or creates) the durable service: it replays the
-// snapshot and WAL under cfg.Dir, then requeues every job the previous
-// process left Running — those are exactly the jobs a crash or
-// shutdown interrupted mid-flight.
+// OpenService opens (or creates) the durable service: it boots the LSM
+// store under cfg.Dir, then requeues every job the previous process
+// left Running — those are exactly the jobs a crash or shutdown
+// interrupted mid-flight.
 func OpenService(cfg ServiceConfig) (*Service, error) {
+	if cfg.Engine != "" && cfg.Engine != EngineLSM {
+		return nil, fmt.Errorf("jobs: unknown storage engine %q: LSM is the only engine (cdas-storectl migrate converts a store the old wal engine wrote)", cfg.Engine)
+	}
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
 	}
@@ -402,111 +426,26 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 		cfg.SnapshotEvery = 256
 	}
 	s := &Service{
-		cfg:    cfg,
-		m:      NewManager(),
-		wake:   make(chan struct{}, 1),
-		newest: make(map[recordKey]uint64),
+		cfg:     cfg,
+		m:       NewManager(),
+		wake:    make(chan struct{}, 1),
+		newest:  make(map[recordKey]uint64),
+		streams: make(map[string]StreamMark),
 	}
 	s.m.SetMaxAttempts(cfg.MaxAttempts)
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	// Refuse to boot an engine over the other engine's store: the file
-	// sets are disjoint, so the wrong engine would come up empty and
+	// Refuse a directory holding the append-only log format: the file
+	// sets are disjoint, so the LSM would come up empty beside it and
 	// look exactly like data loss.
-	hasWAL, hasLSM := jobstore.DetectEngines(cfg.Dir)
-	switch cfg.Engine {
-	case "", EngineWAL:
-		if hasLSM {
-			return nil, fmt.Errorf("jobs: %s holds an LSM-engine store but engine %q was selected; pass -store-engine=lsm (if both engines' files are present, an interrupted migration left them — re-run cdas-storectl migrate)", cfg.Dir, EngineWAL)
-		}
-	case EngineLSM:
-		if hasWAL && hasLSM {
-			return nil, fmt.Errorf("jobs: %s holds both WAL- and LSM-engine files — an interrupted migration; re-run cdas-storectl migrate -dir %s", cfg.Dir, cfg.Dir)
-		}
-		if hasWAL {
-			return nil, fmt.Errorf("jobs: %s holds a WAL-engine store but engine %q was selected; run cdas-storectl migrate -dir %s first, or pass -store-engine=wal", cfg.Dir, EngineLSM, cfg.Dir)
-		}
-		return openLSMService(s)
-	default:
-		return nil, fmt.Errorf("jobs: unknown storage engine %q", cfg.Engine)
+	switch hasLog, hasLSM := jobstore.DetectEngines(cfg.Dir); {
+	case hasLog && hasLSM:
+		return nil, fmt.Errorf("jobs: %s holds both append-only log and LSM files — an interrupted migration; re-run cdas-storectl migrate -dir %s", cfg.Dir, cfg.Dir)
+	case hasLog:
+		return nil, fmt.Errorf("jobs: %s holds a store in the old append-only log format; convert it with cdas-storectl migrate -dir %s", cfg.Dir, cfg.Dir)
 	}
-	log, err := jobstore.Open(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	s.log = log
-	if s.m, s.budget, s.streams, err = loadWALState(log); err != nil {
-		log.Close()
-		return nil, err
-	}
-	s.m.SetMaxAttempts(cfg.MaxAttempts)
-	var running []string
-	for _, st := range s.m.Statuses() {
-		if st.State == StateRunning {
-			running = append(running, st.Job.Name)
-		}
-	}
-	if err := s.requeueInterrupted(running); err != nil {
-		log.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// loadWALState replays a WAL-engine store — the snapshot, then every
-// event after it — into a Manager, the ledger and the stream marks. It
-// copies records verbatim: requeueing what the dead process was running
-// is OpenService's step, and migration must not take it.
-func loadWALState(log *jobstore.Log) (*Manager, BudgetState, map[string]StreamMark, error) {
-	m := NewManager()
-	var budget BudgetState
-	streams := map[string]StreamMark{}
-	if snap, _ := log.Snapshot(); snap != nil {
-		var ws walSnapshot
-		if err := json.Unmarshal(snap, &ws); err != nil {
-			return nil, budget, nil, fmt.Errorf("jobs: decoding snapshot: %w", err)
-		}
-		for _, st := range ws.Jobs {
-			m.restore(fromWal(st))
-		}
-		if ws.Budget != nil {
-			budget = *ws.Budget
-		}
-		for _, sr := range ws.Streams {
-			streams[sr.Job] = sr.Mark
-		}
-	}
-	for i, rec := range log.Entries() {
-		var ev walEvent
-		if err := json.Unmarshal(rec, &ev); err != nil {
-			return nil, budget, nil, fmt.Errorf("jobs: decoding WAL record %d: %w", i, err)
-		}
-		switch ev.Op {
-		case "budget":
-			if ev.Budget != nil {
-				budget = *ev.Budget
-			}
-		case "charge":
-			if ev.Budget != nil {
-				budget.GlobalSpent = ev.Budget.GlobalSpent
-				if budget.Jobs == nil {
-					budget.Jobs = make(map[string]float64)
-				}
-				for name, spent := range ev.Budget.Jobs {
-					budget.Jobs[name] = spent
-				}
-			}
-		case "stream":
-			// Marks replay last-one-wins, exactly like the ledger.
-			if ev.Stream != nil {
-				streams[ev.Stream.Job] = ev.Stream.Mark
-			}
-		default:
-			m.restore(fromWal(ev.Status))
-		}
-	}
-	return m, budget, streams, nil
+	return openLSMService(s)
 }
 
 // requeueInterrupted is the resume step of boot: the named jobs, which
@@ -525,13 +464,12 @@ func (s *Service) requeueInterrupted(names []string) error {
 	return s.flush()
 }
 
-// openLSMService finishes OpenService for EngineLSM: boot from the
-// newest checkpoint plus the WAL tail, restore every job's current
-// record from the primary keyspace, then requeue the jobs the dead
-// process was running — found by a range-read of the state index, and
-// cross-checked against the primary records (the two are committed in
-// one atomic batch, so any disagreement is an engine bug worth failing
-// the boot over).
+// openLSMService finishes OpenService: boot from the newest checkpoint
+// plus the WAL tail, restore every job's current record from the
+// primary keyspace, then requeue the jobs the dead process was running
+// — found by a range-read of the state index, and cross-checked against
+// the primary records (the two are committed in one atomic batch, so
+// any disagreement is an engine bug worth failing the boot over).
 func openLSMService(s *Service) (*Service, error) {
 	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{
 		Dir:  s.cfg.Dir,
@@ -551,7 +489,7 @@ func openLSMService(s *Service) (*Service, error) {
 		return nil, err
 	}
 	var unsplit bool
-	if s.budget, unsplit, err = loadLSMBudget(lsm); err != nil {
+	if s.budget, unsplit, s.streams, err = loadLSMState(lsm, s.m); err != nil {
 		return fail(err)
 	}
 	if unsplit {
@@ -559,37 +497,6 @@ func openLSMService(s *Service) (*Service, error) {
 		if err := lsm.Apply(budgetOps(nil, s.budget)); err != nil {
 			return fail(fmt.Errorf("jobs: splitting the budget ledger into lines: %w", err))
 		}
-	}
-	var decodeErr error
-	err = lsm.Scan(lsmStreamPrefix, prefixEnd(lsmStreamPrefix), func(key string, val []byte) bool {
-		var sr streamRecord
-		if decodeErr = json.Unmarshal(val, &sr); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: decoding stream mark %q: %w", key, decodeErr)
-			return false
-		}
-		s.setStreamMark(sr.Job, sr.Mark)
-		return true
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return fail(err)
-	}
-	err = lsm.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(key string, val []byte) bool {
-		var ws walStatus
-		if decodeErr = json.Unmarshal(val, &ws); decodeErr != nil {
-			decodeErr = fmt.Errorf("jobs: decoding job record %q: %w", key, decodeErr)
-			return false
-		}
-		s.m.restore(fromWal(ws))
-		return true
-	})
-	if err == nil {
-		err = decodeErr
-	}
-	if err != nil {
-		return fail(err)
 	}
 	// Resume via the state index: every xs/running entry names a job a
 	// crash or shutdown interrupted mid-flight.
@@ -620,7 +527,7 @@ func openLSMService(s *Service) (*Service, error) {
 }
 
 // Resumed lists the jobs OpenService moved from Running back to
-// Pending — the unfinished work recovered from the log.
+// Pending — the unfinished work recovered from the store.
 func (s *Service) Resumed() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -641,8 +548,8 @@ func (s *Service) notify() {
 
 // staging is what a mutator's apply step hands to commit: the record it
 // touched, the event to log, the job's state before the transition (""
-// for a new submission and for non-lifecycle events; the LSM engine uses
-// it to re-file the state index entry in the same atomic batch) and the
+// for a new submission and for non-lifecycle events; lsmBatch uses it
+// to re-file the state index entry in the same atomic batch) and the
 // undo that takes the transition back out of memory.
 type staging struct {
 	key       recordKey
@@ -691,42 +598,26 @@ func (s *Service) commit(wait bool, apply func() (staging, error)) error {
 // stageLocked encodes ev and stages it with the store (seq 0 when the
 // service is volatile). It is the single choke point for lifecycle,
 // budget and stream records alike, so every event kind counts toward
-// compaction; cut reports that the LSM checkpoint policy is due.
-// Callers hold s.mu.
+// the checkpoint policy; cut reports that a checkpoint is due. Callers
+// hold s.mu.
 func (s *Service) stageLocked(ev walEvent, prevState State) (seq uint64, cut bool, err error) {
 	if s.closed {
 		return 0, false, ErrServiceClosed
 	}
-	switch {
-	case s.lsm != nil:
-		batch, err := lsmBatch(ev, prevState)
-		if err != nil {
-			return 0, false, err
-		}
-		if seq, err = s.lsm.Stage(batch); err != nil {
-			return 0, false, err
-		}
-		s.events++
-		if s.cfg.SnapshotEvery > 0 && s.events >= s.cfg.SnapshotEvery {
-			s.events = 0
-			cut = true
-		}
-	case s.log != nil:
-		rec, err := json.Marshal(ev)
-		if err != nil {
-			return 0, false, fmt.Errorf("jobs: encoding event: %w", err)
-		}
-		if seq, err = s.log.AppendNoSync(rec); err != nil {
-			return 0, false, err
-		}
-		if s.cfg.SnapshotEvery > 0 && s.log.AppendsSinceSnapshot() >= s.cfg.SnapshotEvery {
-			// The snapshot is written from memory, which already holds
-			// every staged transition up to this one, so installing it
-			// makes them all durable. Compaction is best-effort
-			// housekeeping and must not fail the transition (a failed
-			// compaction simply retries on a later append).
-			_ = s.compact()
-		}
+	if s.lsm == nil {
+		return 0, false, nil
+	}
+	batch, err := lsmBatch(ev, prevState)
+	if err != nil {
+		return 0, false, err
+	}
+	if seq, err = s.lsm.Stage(batch); err != nil {
+		return 0, false, err
+	}
+	s.events++
+	if s.cfg.SnapshotEvery > 0 && s.events >= s.cfg.SnapshotEvery {
+		s.events = 0
+		cut = true
 	}
 	return seq, cut, nil
 }
@@ -735,12 +626,7 @@ func (s *Service) stageLocked(ev walEvent, prevState State) (seq uint64, cut boo
 // flush if no one else is — and then settles the undo log. Callers do
 // not hold s.mu.
 func (s *Service) await(seq uint64) error {
-	var err error
-	if s.lsm != nil {
-		err = s.lsm.Wait(seq)
-	} else {
-		err = s.log.Sync(seq)
-	}
+	err := s.lsm.Wait(seq)
 	s.settle(err != nil)
 	return err
 }
@@ -751,11 +637,8 @@ func (s *Service) await(seq uint64) error {
 // longer moves. With failed set, everything past the watermark is undone.
 func (s *Service) settle(failed bool) {
 	var durable, syncs uint64
-	switch {
-	case s.lsm != nil:
+	if s.lsm != nil {
 		durable, syncs = s.lsm.DurableSeq(), s.lsm.WALSyncs()
-	case s.log != nil:
-		durable, syncs = s.log.Synced(), s.log.Syncs()
 	}
 	s.mu.Lock()
 	s.settleLocked(durable, syncs, failed)
@@ -871,7 +754,7 @@ func lsmBatch(ev walEvent, prevState State) ([]jobstore.Op, error) {
 	return batch, nil
 }
 
-// cutCheckpoint starts an LSM checkpoint once SnapshotEvery events have
+// cutCheckpoint starts a store checkpoint once SnapshotEvery events have
 // been staged. It is best-effort housekeeping, run after the triggering
 // commit is durable and outside s.mu: only the freeze and WAL-segment
 // rotation happen here; the flush's outcome arrives through
@@ -886,8 +769,8 @@ func (s *Service) cutCheckpoint() {
 	}
 }
 
-// onCheckpoint receives every checkpoint flush's outcome from the LSM
-// engine (called on the flush goroutine, no store locks held).
+// onCheckpoint receives every checkpoint flush's outcome from the store
+// (called on the flush goroutine, no store locks held).
 func (s *Service) onCheckpoint(err error) {
 	if err == nil {
 		s.cfg.Counters.Inc(metrics.CounterWALSnapshots)
@@ -911,37 +794,6 @@ func (s *Service) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// compact writes a full-state snapshot, truncating the WAL. Callers
-// hold s.mu.
-func (s *Service) compact() error {
-	var snap walSnapshot
-	for _, st := range s.m.Statuses() {
-		snap.Jobs = append(snap.Jobs, toWal(st))
-	}
-	if s.budget.GlobalSpent > 0 || len(s.budget.Jobs) > 0 {
-		snap.Budget = &s.budget // encoded below, still under s.mu
-	}
-	if len(s.streams) > 0 {
-		names := make([]string, 0, len(s.streams))
-		for name := range s.streams {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			snap.Streams = append(snap.Streams, streamRecord{Job: name, Mark: s.streams[name]})
-		}
-	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("jobs: encoding snapshot: %w", err)
-	}
-	if err := s.log.WriteSnapshot(payload); err != nil {
-		return err
-	}
-	s.cfg.Counters.Inc(metrics.CounterWALSnapshots)
-	return nil
 }
 
 // jobKey names a job's lifecycle record in the undo log.
@@ -1140,17 +992,8 @@ func (s *Service) Budget() (b BudgetState) {
 	return b
 }
 
-// setStreamMark records a mark in memory. Callers hold s.mu (or are in
-// single-threaded boot).
-func (s *Service) setStreamMark(name string, mark StreamMark) {
-	if s.streams == nil {
-		s.streams = make(map[string]StreamMark)
-	}
-	s.streams[name] = mark
-}
-
 // CommitStreamMark durably advances a continuous job's stream position:
-// the mark is fsynced through the same WAL/LSM path as lifecycle
+// the mark is fsynced through the same store path as lifecycle
 // transitions before it is acknowledged, so a crash after a window
 // close replays the close — the restarted runner skips every window at
 // or below mark.Window and never re-charges it. Marks must advance;
@@ -1163,7 +1006,7 @@ func (s *Service) CommitStreamMark(name string, mark StreamMark) error {
 			return staging{}, fmt.Errorf("jobs: stream mark for %q regresses window %d below committed %d", name, mark.Window, prev.Window)
 		}
 		mark = mark.clone()
-		s.setStreamMark(name, mark)
+		s.streams[name] = mark
 		return staging{
 			key: recordKey{ns: nsStream, name: name},
 			ev:  walEvent{Op: "stream", Stream: &streamRecord{Job: name, Mark: mark}},
@@ -1283,23 +1126,18 @@ func (s *Service) Close() error {
 	// Drop the lock before closing: the LSM drains in-flight checkpoint
 	// flushes, whose completion callback (onCheckpoint) takes s.mu.
 	s.mu.Unlock()
-	var first error
+	var err error
 	if s.lsm != nil {
-		first = s.lsm.Close()
-	}
-	if s.log != nil {
-		if err := s.log.Close(); err != nil && first == nil {
-			first = err
-		}
+		err = s.lsm.Close()
 	}
 	// Whatever the closed store did not make durable never will be.
 	s.settle(true)
-	return first
+	return err
 }
 
 // Durable reports whether the service is backed by an open store.
 func (s *Service) Durable() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.closed && (s.log != nil || s.lsm != nil)
+	return !s.closed && s.lsm != nil
 }

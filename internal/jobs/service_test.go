@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -125,21 +124,13 @@ func TestServiceSnapshotCompaction(t *testing.T) {
 	}
 	s.Close()
 	if reg.Get(metrics.CounterWALSnapshots) == 0 {
-		t.Fatal("no snapshot written despite SnapshotEvery=5 and 12 events")
+		t.Fatal("no checkpoint cut despite SnapshotEvery=5 and 12 events")
 	}
-	// The WAL must have been compacted below the full event count.
-	wal, err := os.ReadFile(filepath.Join(dir, "wal.dat"))
-	if err != nil {
-		t.Fatal(err)
+	// The checkpoint flushed the records into a sorted run.
+	if runs, err := filepath.Glob(filepath.Join(dir, "run-*.run")); err != nil || len(runs) == 0 {
+		t.Fatalf("no run file after the checkpoint (%v)", err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, "snapshot.dat"))
-	if err != nil || len(snap) == 0 {
-		t.Fatalf("snapshot file missing: %v", err)
-	}
-	if len(wal) >= len(snap)*3 {
-		t.Errorf("WAL looks uncompacted: %d bytes vs snapshot %d", len(wal), len(snap))
-	}
-	// Full state survives the compaction boundary.
+	// Full state survives the checkpoint boundary.
 	s2 := openTestService(t, dir)
 	defer s2.Close()
 	sts := s2.Statuses()
@@ -195,9 +186,9 @@ func TestServiceWakeSignal(t *testing.T) {
 	}
 }
 
-// TestServiceRevertsOnLogFailure: a transition the log refuses must
+// TestServiceRevertsOnLogFailure: a transition the store refuses must
 // not stick in memory — the API would otherwise acknowledge state the
-// WAL never saw.
+// store never saw.
 func TestServiceRevertsOnLogFailure(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestService(t, dir)
@@ -206,21 +197,21 @@ func TestServiceRevertsOnLogFailure(t *testing.T) {
 		t.Fatal("nothing claimed")
 	}
 	s.Progress("j", 0.25, 0.5)
-	// Kill the log underneath the service: every append now fails.
+	// Kill the store underneath the service: every commit now fails.
 	s.Close()
 	if err := s.Complete("j", 9.9); err == nil {
-		t.Fatal("Complete succeeded on a closed log")
+		t.Fatal("Complete succeeded on a closed store")
 	}
 	got, _ := s.Status("j")
 	if got.State != StateRunning || got.Cost != 0.5 || got.Progress != 0.25 {
 		t.Errorf("state after failed commit = %+v, want the pre-Complete running record", got)
 	}
-	// Claim rollback: the failed-append path must also revert attempts.
+	// Claim rollback: the failed-commit path must also revert attempts.
 	s2 := openTestService(t, "")
 	s2.Submit(testJob("k"))
-	s2.log = s.log // closed log: appends fail
+	s2.lsm = s.lsm // closed store: staging fails
 	if _, ok := s2.Claim(); ok {
-		t.Error("Claim succeeded against a closed log")
+		t.Error("Claim succeeded against a closed store")
 	}
 	got, _ = s2.Status("k")
 	if got.State != StatePending || got.Attempts != 0 {

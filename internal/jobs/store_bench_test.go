@@ -44,101 +44,75 @@ func benchStatus(i int) walStatus {
 }
 
 // buildBenchStore populates dir with benchStoreJobs records through
-// the same on-disk encodings the service commits — unsynced, since the
-// benchmark measures boot, not the build.
-func buildBenchStore(b *testing.B, dir, engine string) {
+// the same on-disk encoding the service commits — unsynced, since the
+// benchmark measures boot, not the build. A large memtable keeps the
+// build to a couple of checkpoints; the final Checkpoint leaves the boot
+// a run set plus an empty WAL tail — the recovery shape the engine
+// promises.
+func buildBenchStore(b *testing.B, dir string) {
 	b.Helper()
-	switch engine {
-	case EngineWAL:
-		log, err := jobstore.Open(dir)
+	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir, NoSync: true, MemtableBytes: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batch []jobstore.Op
+	for i := 0; i < benchStoreJobs; i++ {
+		ws := benchStatus(i)
+		payload, err := json.Marshal(ws)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < benchStoreJobs; i++ {
-			rec, err := json.Marshal(walEvent{Op: "submit", Status: benchStatus(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := log.AppendNoSync(rec); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := log.Close(); err != nil {
-			b.Fatal(err)
-		}
-	case EngineLSM:
-		// A large memtable keeps the build to a couple of checkpoints;
-		// the final Checkpoint leaves the boot a run set plus an empty
-		// WAL tail — the recovery shape the engine promises.
-		lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir, NoSync: true, MemtableBytes: 64 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var batch []jobstore.Op
-		for i := 0; i < benchStoreJobs; i++ {
-			ws := benchStatus(i)
-			payload, err := json.Marshal(ws)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch = append(batch,
-				jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload},
-				jobstore.Op{Key: lsmStateKey(ws.State, ws.Seq, ws.Job.Name)},
-				jobstore.Op{Key: lsmPrioKey(ws.Job.Priority, ws.Job.Name)},
-				jobstore.Op{Key: lsmTenantKey(ws.Job.Tenant, ws.Job.Name)},
-			)
-			if len(batch) >= 4096 {
-				if err := lsm.Apply(batch); err != nil {
-					b.Fatal(err)
-				}
-				batch = batch[:0]
-			}
-		}
-		if len(batch) > 0 {
+		batch = append(batch,
+			jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload},
+			jobstore.Op{Key: lsmStateKey(ws.State, ws.Seq, ws.Job.Name)},
+			jobstore.Op{Key: lsmPrioKey(ws.Job.Priority, ws.Job.Name)},
+			jobstore.Op{Key: lsmTenantKey(ws.Job.Tenant, ws.Job.Name)},
+		)
+		if len(batch) >= 4096 {
 			if err := lsm.Apply(batch); err != nil {
 				b.Fatal(err)
 			}
+			batch = batch[:0]
 		}
-		if err := lsm.Checkpoint(); err != nil {
+	}
+	if len(batch) > 0 {
+		if err := lsm.Apply(batch); err != nil {
 			b.Fatal(err)
 		}
-		if err := lsm.Close(); err != nil {
-			b.Fatal(err)
-		}
-	default:
-		b.Fatalf("unknown engine %q", engine)
+	}
+	if err := lsm.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := lsm.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 
-// BenchmarkStoreBoot measures cold-start recovery of a 100k-job store
-// under each engine: WAL replay from seq zero versus LSM checkpoint +
-// tail. Reports boot_ms, the per-boot wall time the bench gate bounds.
+// BenchmarkStoreBoot measures cold-start recovery of a 100k-job store:
+// checkpoint plus WAL tail. Reports boot_ms, the per-boot wall time the
+// bench gate bounds.
 func BenchmarkStoreBoot(b *testing.B) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		b.Run(engine, func(b *testing.B) {
-			dir := b.TempDir()
-			buildBenchStore(b, dir, engine)
-			// One throwaway boot verifies the fixture before the clock runs.
-			svc, err := OpenService(ServiceConfig{Dir: dir, Engine: engine, SnapshotEvery: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n := len(svc.Statuses()); n != benchStoreJobs {
-				b.Fatalf("fixture store has %d jobs, want %d", n, benchStoreJobs)
-			}
-			svc.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				svc, err := OpenService(ServiceConfig{Dir: dir, Engine: engine, SnapshotEvery: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				svc.Close()
-			}
-			b.StopTimer()
-			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "boot_ms")
-		})
+	dir := b.TempDir()
+	buildBenchStore(b, dir)
+	// One throwaway boot verifies the fixture before the clock runs.
+	svc, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
 	}
+	if n := len(svc.Statuses()); n != benchStoreJobs {
+		b.Fatalf("fixture store has %d jobs, want %d", n, benchStoreJobs)
+	}
+	svc.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc, err := OpenService(ServiceConfig{Dir: dir, SnapshotEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		svc.Close()
+	}
+	b.StopTimer()
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "boot_ms")
 }
 
 // BenchmarkJobsListP99 measures one GET /v1/jobs page (limit 100) over
@@ -180,8 +154,7 @@ func BenchmarkJobsListP99(b *testing.B) {
 	b.ReportMetric(float64(p99.Nanoseconds())/1e3, "list_p99_us")
 }
 
-// BenchmarkChargeBudget measures one durable charge (LSM engine, fsync
-// on) against ledgers of two sizes. The two must read alike: a charge
+// BenchmarkChargeBudget measures one durable charge (fsync on) against ledgers of two sizes. The two must read alike: a charge
 // commits the job's line and the total, never the ledger.
 func BenchmarkChargeBudget(b *testing.B) {
 	for _, jobs := range []int{100, 10_000} {

@@ -56,58 +56,56 @@ func TestStreamMarkCommit(t *testing.T) {
 	}
 }
 
-// TestStreamMarkRecovery pins durability on both engines: committed
+// TestStreamMarkRecovery pins durability: committed
 // marks survive close/reopen exactly, uncommitted progress does not
 // exist, and marks for distinct jobs stay distinct.
-func TestStreamMarkRecovery(t *testing.T) {
-	for _, engine := range []string{EngineWAL, EngineLSM} {
-		t.Run(engine, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenService(ServiceConfig{Dir: dir, Engine: engine})
-			if err != nil {
+func TestStreamMarkRecovery(t *testing.T) { t.Run("lsm", testStreamMarkRecovery) }
+
+func testStreamMarkRecovery(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenService(ServiceConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := map[string]StreamMark{
+		"feed/a": {Window: 3, Spent: 1.25, Seen: 48, Matched: 40, Dropped: 5, Degraded: 3},
+		"feed-b": {Window: 0, Spent: 0.1, Seen: 7, Matched: 7},
+	}
+	for name, mark := range marks {
+		if _, err := s.Submit(continuousTestJob(name)); err != nil {
+			t.Fatal(err)
+		}
+		// Walk the mark up so recovery sees only the newest record.
+		for w := 0; w <= mark.Window; w++ {
+			step := mark
+			step.Window = w
+			if err := s.CommitStreamMark(name, step); err != nil {
 				t.Fatal(err)
 			}
-			marks := map[string]StreamMark{
-				"feed/a": {Window: 3, Spent: 1.25, Seen: 48, Matched: 40, Dropped: 5, Degraded: 3},
-				"feed-b": {Window: 0, Spent: 0.1, Seen: 7, Matched: 7},
-			}
-			for name, mark := range marks {
-				if _, err := s.Submit(continuousTestJob(name)); err != nil {
-					t.Fatal(err)
-				}
-				// Walk the mark up so recovery sees only the newest record.
-				for w := 0; w <= mark.Window; w++ {
-					step := mark
-					step.Window = w
-					if err := s.CommitStreamMark(name, step); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r, err := OpenService(ServiceConfig{Dir: dir, Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			for name, want := range marks {
-				got, ok := r.StreamMarkFor(name)
-				if !ok || got != want {
-					t.Errorf("%s: recovered mark = %+v, %v, want %+v", name, got, ok, want)
-				}
-			}
-			if _, ok := r.StreamMarkFor("ghost"); ok {
-				t.Error("mark recovered for a job that never committed one")
-			}
-			// New commits keep working after recovery.
-			next := marks["feed/a"]
-			next.Window++
-			if err := r.CommitStreamMark("feed/a", next); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenService(ServiceConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for name, want := range marks {
+		got, ok := r.StreamMarkFor(name)
+		if !ok || got != want {
+			t.Errorf("%s: recovered mark = %+v, %v, want %+v", name, got, ok, want)
+		}
+	}
+	if _, ok := r.StreamMarkFor("ghost"); ok {
+		t.Error("mark recovered for a job that never committed one")
+	}
+	// New commits keep working after recovery.
+	next := marks["feed/a"]
+	next.Window++
+	if err := r.CommitStreamMark("feed/a", next); err != nil {
+		t.Fatal(err)
 	}
 }
 

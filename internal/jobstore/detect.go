@@ -1,8 +1,9 @@
 // Engine detection: which store formats live in a directory. The job
 // service uses this to refuse a boot that would silently shadow an
-// existing store — the engines' file sets are disjoint, so pointing
-// the LSM engine at a WAL-engine directory "works" but starts empty,
-// which after the default flip to lsm would look like data loss.
+// existing store — the LSM's file set is disjoint from the append-only
+// log's, so opening the LSM over a log directory "works" but starts
+// empty, which would look like data loss. cdas-storectl migrate
+// converts such a directory instead.
 package jobstore
 
 import (
@@ -11,9 +12,10 @@ import (
 	"strings"
 )
 
-// DetectEngines reports which engines have persisted state in dir: wal
-// for the append-only Log (wal.dat / snapshot.dat), lsm for the LSM
-// store (MANIFEST / WAL segments). A missing directory has neither.
+// DetectEngines reports which formats have persisted state in dir: wal
+// for the append-only log ReadLog reads (wal.dat / snapshot.dat), lsm
+// for the LSM store (MANIFEST / WAL segments). A missing directory has
+// neither.
 func DetectEngines(dir string) (wal, lsm bool) {
 	if fi, err := os.Stat(filepath.Join(dir, walName)); err == nil && fi.Size() > 0 {
 		wal = true
@@ -44,9 +46,9 @@ func DetectEngines(dir string) (wal, lsm bool) {
 	return wal, lsm
 }
 
-// RetireLogFiles renames the Log engine's files out of the engine's
-// file set (wal.dat → wal.dat.retired, likewise the snapshot), so
-// DetectEngines stops reporting a WAL store while the bytes stay on
+// RetireLogFiles renames the append-only log's files out of its file
+// set (wal.dat → wal.dat.retired, likewise the snapshot), so
+// DetectEngines stops reporting a log store while the bytes stay on
 // disk for rollback. Renaming back restores the store unchanged. The
 // returned list names the retired files.
 func RetireLogFiles(dir string) ([]string, error) {
@@ -69,9 +71,9 @@ func RetireLogFiles(dir string) ([]string, error) {
 }
 
 // RemoveLSMFiles deletes every LSM-engine file in dir (manifest, runs,
-// WAL segments, lock and temp files), leaving Log-engine files alone.
-// The migrator uses it to restart cleanly after an interrupted
-// conversion, while the WAL store is still the authority.
+// WAL segments, lock and temp files), leaving the append-only log's
+// files alone. The migrator uses it to restart cleanly after an
+// interrupted conversion, while the log is still the authority.
 func RemoveLSMFiles(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

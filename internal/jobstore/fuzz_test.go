@@ -2,19 +2,17 @@ package jobstore
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzReplay feeds arbitrary bytes to the WAL scanner: Open must never
-// panic or error on junk (junk is a torn tail, not an IO failure), the
-// recovered state must be appendable, and a second recovery must see
-// exactly the first recovery's entries plus the new append — i.e.
-// recovery is a fixed point no matter what was on disk. The same
-// property must hold across a snapshot: checkpoint + tail recovery
-// (snapshot watermark plus post-snapshot appends) is also a fixed
-// point.
+// FuzzReplay feeds arbitrary bytes to ReadLog's WAL scan: it must never
+// panic or error on junk (junk is a torn tail, not an IO failure), never
+// write the file, and read the same records every time. A clean log
+// stays clean with one more frame behind it, and a snapshot watermark
+// hides exactly the frames at or below it.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a wal at all"))
@@ -26,63 +24,57 @@ func FuzzReplay(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		path := filepath.Join(dir, walName)
+		if err := os.WriteFile(path, wal, 0o644); err != nil {
 			t.Skip()
 		}
-		l, err := Open(dir)
-		if err != nil {
-			t.Fatalf("Open on arbitrary WAL bytes errored: %v", err)
+		read := func() *LogImage {
+			t.Helper()
+			img, err := ReadLog(dir)
+			if err != nil {
+				t.Fatalf("ReadLog on arbitrary WAL bytes errored: %v", err)
+			}
+			img.Close()
+			return img
 		}
-		recovered := l.Entries()
-		if _, err := l.Append([]byte("post-recovery")); err != nil {
-			t.Fatalf("Append after recovery: %v", err)
+		first := read()
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, wal) {
+			t.Fatal("ReadLog changed the WAL file")
 		}
-		l.Close()
-
-		r, err := Open(dir)
-		if err != nil {
-			t.Fatalf("second Open: %v", err)
+		again := read()
+		if first.TailTruncated != again.TailTruncated || len(again.Entries) != len(first.Entries) {
+			t.Fatalf("two reads differ: %d entries (torn %v) vs %d (torn %v)",
+				len(first.Entries), first.TailTruncated, len(again.Entries), again.TailTruncated)
 		}
-		defer r.Close()
-		again := r.Entries()
-		if len(again) != len(recovered)+1 {
-			t.Fatalf("second recovery has %d entries, want %d", len(again), len(recovered)+1)
-		}
-		for i := range recovered {
-			if !bytes.Equal(again[i], recovered[i]) {
-				t.Fatalf("entry %d changed across recoveries: %q vs %q", i, again[i], recovered[i])
+		for i := range first.Entries {
+			if !bytes.Equal(again.Entries[i], first.Entries[i]) {
+				t.Fatalf("entry %d changed across reads: %q vs %q", i, again.Entries[i], first.Entries[i])
 			}
 		}
-		if string(again[len(again)-1]) != "post-recovery" {
-			t.Fatalf("appended record lost: %q", again[len(again)-1])
+
+		if !first.TailTruncated {
+			// A clean log is a committed prefix: one more frame behind
+			// it is one more entry.
+			grown := append(append([]byte(nil), wal...), frame(math.MaxUint64, []byte("appended"))...)
+			if err := os.WriteFile(path, grown, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			img := read()
+			if img.TailTruncated || len(img.Entries) != len(first.Entries)+1 || string(img.Entries[len(first.Entries)]) != "appended" {
+				t.Fatalf("clean log plus one frame read as %d entries (torn %v), want %d", len(img.Entries), img.TailTruncated, len(first.Entries)+1)
+			}
+			if err := os.WriteFile(path, wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 
-		// Checkpoint + tail: snapshot the recovered state, append one
-		// more record, and recover again — the snapshot watermark plus
-		// the post-snapshot tail must be exactly what was written.
-		if err := r.WriteSnapshot([]byte("state-at-snapshot")); err != nil {
-			t.Fatalf("WriteSnapshot: %v", err)
+		// A snapshot at the highest watermark covers every frame.
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), frame(math.MaxUint64, []byte("state")), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := r.Append([]byte("post-snapshot")); err != nil {
-			t.Fatalf("Append after snapshot: %v", err)
-		}
-		r.Close()
-
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatalf("post-snapshot Open: %v", err)
-		}
-		defer s.Close()
-		snap, snapSeq := s.Snapshot()
-		if string(snap) != "state-at-snapshot" {
-			t.Fatalf("snapshot payload lost: %q", snap)
-		}
-		if snapSeq == 0 || snapSeq > s.Seq() {
-			t.Fatalf("snapshot watermark %d outside committed range %d", snapSeq, s.Seq())
-		}
-		tail := s.Entries()
-		if len(tail) != 1 || string(tail[0]) != "post-snapshot" {
-			t.Fatalf("checkpoint+tail recovery saw %d entries %q, want [post-snapshot]", len(tail), tail)
+		img := read()
+		if string(img.Snapshot) != "state" || len(img.Entries) != 0 || img.TailTruncated != first.TailTruncated {
+			t.Fatalf("snapshot over everything read as %q with %d entries (torn %v)", img.Snapshot, len(img.Entries), img.TailTruncated)
 		}
 	})
 }

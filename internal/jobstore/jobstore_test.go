@@ -3,129 +3,99 @@ package jobstore
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
-func mustOpen(t *testing.T, dir string) *Log {
+// writeWAL writes recs as WAL frames numbered from seq 1 and returns
+// the file's bytes.
+func writeWAL(t *testing.T, dir string, recs ...string) []byte {
 	t.Helper()
-	l, err := Open(dir)
+	var data []byte
+	for i, r := range recs {
+		data = appendFrame(data, uint64(i+1), []byte(r))
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// writeSnapshot installs payload as the snapshot covering records up to
+// and including seq.
+func writeSnapshot(t *testing.T, dir string, seq uint64, payload string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), frame(seq, []byte(payload)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustRead(t *testing.T, dir string) *LogImage {
+	t.Helper()
+	img, err := ReadLog(dir)
 	if err != nil {
-		t.Fatalf("Open(%s): %v", dir, err)
+		t.Fatalf("ReadLog(%s): %v", dir, err)
 	}
-	return l
+	t.Cleanup(func() { img.Close() })
+	return img
 }
 
-func appendAll(t *testing.T, l *Log, recs ...string) {
+func wantEntries(t *testing.T, img *LogImage, want ...string) {
 	t.Helper()
-	for _, r := range recs {
-		if _, err := l.Append([]byte(r)); err != nil {
-			t.Fatalf("Append(%q): %v", r, err)
-		}
-	}
-}
-
-func wantEntries(t *testing.T, l *Log, want ...string) {
-	t.Helper()
-	got := l.Entries()
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d entries, want %d: %q vs %q", len(got), len(want), got, want)
+	if len(img.Entries) != len(want) {
+		t.Fatalf("read %d entries, want %d: %q vs %q", len(img.Entries), len(want), img.Entries, want)
 	}
 	for i := range want {
-		if string(got[i]) != want[i] {
-			t.Errorf("entry %d = %q, want %q", i, got[i], want[i])
+		if string(img.Entries[i]) != want[i] {
+			t.Errorf("entry %d = %q, want %q", i, img.Entries[i], want[i])
 		}
 	}
 }
 
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "one", "two", "three")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := mustOpen(t, dir)
-	defer r.Close()
-	wantEntries(t, r, "one", "two", "three")
-	if r.TailTruncated() {
+	writeWAL(t, dir, "one", "two", "three")
+	img := mustRead(t, dir)
+	wantEntries(t, img, "one", "two", "three")
+	if img.TailTruncated {
 		t.Error("clean WAL reported a truncated tail")
 	}
-	if r.Seq() != 3 {
-		t.Errorf("Seq = %d, want 3", r.Seq())
+	if img.Snapshot != nil {
+		t.Errorf("Snapshot = %q with no snapshot file", img.Snapshot)
 	}
 }
 
-func TestAppendAfterRecoveryContinuesSequence(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a", "b")
-	l.Close()
-
-	r := mustOpen(t, dir)
-	appendAll(t, r, "c")
-	r.Close()
-
-	r2 := mustOpen(t, dir)
-	defer r2.Close()
-	wantEntries(t, r2, "a", "b", "c")
-	if r2.Seq() != 3 {
-		t.Errorf("Seq = %d, want 3", r2.Seq())
-	}
-}
-
-// TestTruncatedTail simulates kill -9 mid-Append: the last frame is cut
-// short. Recovery must keep every record whose Append returned and drop
-// only the torn tail.
+// TestTruncatedTail: a crash mid-append cut the last frame short. The
+// reader keeps every record before it, drops only the torn tail, and
+// leaves the file as it found it.
 func TestTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "committed-1", "committed-2", "torn")
-	l.Close()
-
+	data := writeWAL(t, dir, "committed-1", "committed-2", "torn")
 	path := filepath.Join(dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for cut := 1; cut < headerSize+len("torn"); cut += 3 {
-		if err := os.WriteFile(path, data[:len(data)-cut], 0o644); err != nil {
+		torn := data[:len(data)-cut]
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r := mustOpen(t, dir)
-		wantEntries(t, r, "committed-1", "committed-2")
-		if !r.TailTruncated() {
+		img := mustRead(t, dir)
+		wantEntries(t, img, "committed-1", "committed-2")
+		if !img.TailTruncated {
 			t.Errorf("cut=%d: torn tail not reported", cut)
 		}
-		// The truncated log must stay appendable and consistent.
-		appendAll(t, r, "after-crash")
-		r.Close()
-		r2 := mustOpen(t, dir)
-		wantEntries(t, r2, "committed-1", "committed-2", "after-crash")
-		r2.Close()
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		img.Close()
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, torn) {
+			t.Fatalf("cut=%d: the read changed the WAL (%d bytes, was %d; %v)", cut, len(after), len(torn), err)
 		}
 	}
 }
 
 // TestCorruptedTail flips bytes in the final record: the checksum must
-// catch it and recovery must keep all earlier committed records.
+// catch it and the read must keep all earlier committed records.
 func TestCorruptedTail(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "keep-1", "keep-2", "garbled")
-	l.Close()
-
+	data := writeWAL(t, dir, "keep-1", "keep-2", "garbled")
 	path := filepath.Join(dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lastFrame := len(data) - headerSize - len("garbled")
 	for _, off := range []int{lastFrame, lastFrame + 5, lastFrame + headerSize, len(data) - 1} {
 		mut := append([]byte(nil), data...)
@@ -133,12 +103,12 @@ func TestCorruptedTail(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r := mustOpen(t, dir)
-		wantEntries(t, r, "keep-1", "keep-2")
-		if !r.TailTruncated() {
+		img := mustRead(t, dir)
+		wantEntries(t, img, "keep-1", "keep-2")
+		if !img.TailTruncated {
 			t.Errorf("offset %d: corruption not reported", off)
 		}
-		r.Close()
+		img.Close()
 	}
 }
 
@@ -147,103 +117,59 @@ func TestCorruptedTail(t *testing.T) {
 // dropped rather than mis-parsed.
 func TestCorruptionMidLogDropsSuffix(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "first", "second", "third")
-	l.Close()
-
-	path := filepath.Join(dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := writeWAL(t, dir, "first", "second", "third")
 	// Flip a byte inside the second record's payload.
-	secondPayload := (headerSize + len("first")) + headerSize
-	data[secondPayload] ^= 0x55
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	data[headerSize+len("first")+headerSize] ^= 0x55
+	if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := mustOpen(t, dir)
-	defer r.Close()
-	wantEntries(t, r, "first")
-	if !r.TailTruncated() {
+	img := mustRead(t, dir)
+	wantEntries(t, img, "first")
+	if !img.TailTruncated {
 		t.Error("mid-log corruption not reported")
 	}
 }
 
+// TestSnapshotCompactsWAL reads the shape compaction left: a snapshot
+// covering the first records and a WAL holding only the ones after it.
 func TestSnapshotCompactsWAL(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a", "b")
-	if err := l.WriteSnapshot([]byte("state-after-b")); err != nil {
+	writeSnapshot(t, dir, 2, "state-after-b")
+	if err := os.WriteFile(filepath.Join(dir, walName), frame(3, []byte("c")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n := l.AppendsSinceSnapshot(); n != 0 {
-		t.Errorf("AppendsSinceSnapshot = %d after snapshot, want 0", n)
+	img := mustRead(t, dir)
+	if string(img.Snapshot) != "state-after-b" {
+		t.Errorf("Snapshot = %q, want state-after-b", img.Snapshot)
 	}
-	appendAll(t, l, "c")
-	l.Close()
-
-	r := mustOpen(t, dir)
-	defer r.Close()
-	snap, seq := r.Snapshot()
-	if string(snap) != "state-after-b" || seq != 2 {
-		t.Errorf("Snapshot = %q@%d, want state-after-b@2", snap, seq)
-	}
-	wantEntries(t, r, "c")
-	if r.Seq() != 3 {
-		t.Errorf("Seq = %d, want 3", r.Seq())
-	}
+	wantEntries(t, img, "c")
 }
 
-// TestSnapshotCrashWindow simulates a crash after the snapshot rename
-// but before the WAL truncation: the stale WAL records are at or below
-// the snapshot watermark and must not be replayed twice.
+// TestSnapshotCrashWindow: a crash after the snapshot rename but before
+// the WAL truncation left the covered records in the WAL. They are at
+// or below the snapshot watermark and must not be read twice.
 func TestSnapshotCrashWindow(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a", "b")
-	l.Close()
-	wal, err := os.ReadFile(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
+	writeWAL(t, dir, "a", "b")
+	writeSnapshot(t, dir, 2, "covers-a-b")
+	img := mustRead(t, dir)
+	if string(img.Snapshot) != "covers-a-b" {
+		t.Fatalf("Snapshot = %q, want covers-a-b", img.Snapshot)
 	}
+	wantEntries(t, img) // nothing replays: both records are covered
+	img.Close()
 
-	l2 := mustOpen(t, dir)
-	if err := l2.WriteSnapshot([]byte("covers-a-b")); err != nil {
-		t.Fatal(err)
-	}
-	l2.Close()
-	// Restore the pre-truncation WAL: the crash left it behind.
+	// Records appended after the snapshot are read past the watermark.
+	wal := append(append(frame(1, []byte("a")), frame(2, []byte("b"))...), frame(3, []byte("c"))...)
 	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	r := mustOpen(t, dir)
-	defer r.Close()
-	snap, seq := r.Snapshot()
-	if string(snap) != "covers-a-b" || seq != 2 {
-		t.Fatalf("Snapshot = %q@%d, want covers-a-b@2", snap, seq)
-	}
-	wantEntries(t, r) // nothing replays: both records are covered
-	if r.Seq() != 2 {
-		t.Errorf("Seq = %d, want 2", r.Seq())
-	}
-	// New appends continue past the watermark.
-	appendAll(t, r, "c")
-	if r.Seq() != 3 {
-		t.Errorf("Seq after append = %d, want 3", r.Seq())
-	}
+	wantEntries(t, mustRead(t, dir), "c")
 }
 
 func TestCorruptSnapshotIsLoud(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	appendAll(t, l, "a")
-	if err := l.WriteSnapshot([]byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
+	writeSnapshot(t, dir, 1, "good")
 	path := filepath.Join(dir, snapshotName)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -253,81 +179,35 @@ func TestCorruptSnapshotIsLoud(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Errorf("Open on corrupt snapshot: err = %v, want ErrCorruptSnapshot", err)
+	// Twice: the failed read released the lock, so the second one fails
+	// the same way instead of with ErrLocked.
+	for i := 0; i < 2; i++ {
+		if _, err := ReadLog(dir); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("ReadLog on corrupt snapshot: err = %v, want ErrCorruptSnapshot", err)
+		}
 	}
 }
 
 func TestEmptyPayloadsAndBinaryRecords(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
 	bin := bytes.Repeat([]byte{0x00, 0xff, 0x13}, 100)
-	if _, err := l.Append(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(bin); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	r := mustOpen(t, dir)
-	defer r.Close()
-	got := r.Entries()
+	writeWAL(t, dir, "", string(bin))
+	got := mustRead(t, dir).Entries
 	if len(got) != 2 || len(got[0]) != 0 || !bytes.Equal(got[1], bin) {
 		t.Errorf("binary round trip failed: %q", got)
 	}
 }
 
-func TestConcurrentAppends(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	const goroutines, per = 8, 20
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
-					t.Errorf("Append: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	l.Close()
-	r := mustOpen(t, dir)
-	defer r.Close()
-	if got := len(r.Entries()); got != goroutines*per {
-		t.Errorf("recovered %d records, want %d", got, goroutines*per)
-	}
-	if r.Seq() != goroutines*per {
-		t.Errorf("Seq = %d, want %d", r.Seq(), goroutines*per)
-	}
-}
-
-// TestDoubleOpenLocked: a second live opener must fail fast instead of
-// interleaving frames with the first.
+// TestDoubleOpenLocked: while one reader holds the store, a second one
+// fails fast — two migrations of one directory exclude each other.
 func TestDoubleOpenLocked(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir)
-	defer l.Close()
-	if _, err := Open(dir); !errors.Is(err, ErrLocked) {
-		t.Fatalf("second Open err = %v, want ErrLocked", err)
+	writeWAL(t, dir, "a")
+	img := mustRead(t, dir)
+	if _, err := ReadLog(dir); !errors.Is(err, ErrLocked) {
+		t.Fatalf("second ReadLog err = %v, want ErrLocked", err)
 	}
-	// Releasing the first handle frees the store.
-	l.Close()
-	r := mustOpen(t, dir)
-	r.Close()
-}
-
-func TestClosedLogRejectsWrites(t *testing.T) {
-	l := mustOpen(t, t.TempDir())
-	l.Close()
-	if _, err := l.Append([]byte("x")); err == nil {
-		t.Error("Append on closed log succeeded")
-	}
-	if err := l.WriteSnapshot([]byte("x")); err == nil {
-		t.Error("WriteSnapshot on closed log succeeded")
-	}
+	// Releasing the first image frees the store.
+	img.Close()
+	mustRead(t, dir)
 }

@@ -297,17 +297,10 @@ func TestLSMTornTailTruncated(t *testing.T) {
 }
 
 func TestLSMSharesDirWithLog(t *testing.T) {
-	// The two engines use disjoint file names: pointing one at the
-	// other's directory finds an empty store, not corruption.
+	// The LSM and the append-only log use disjoint file names: the LSM
+	// opened over a log directory finds an empty store, not corruption.
 	dir := t.TempDir()
-	log, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := log.Append([]byte("wal engine record")); err != nil {
-		t.Fatal(err)
-	}
-	log.Close()
+	writeWAL(t, dir, "append-only log record")
 	l, err := OpenLSM(LSMConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestStandingKillResume(t *testing.T) {
 	job.Query.RequiredAccuracy = 0.85
 
 	// ---- First incarnation: commit two windows, then kill -9. ----
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Engine: jobs.EngineLSM, Counters: counters})
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestStandingKillResume(t *testing.T) {
 	}
 
 	// ---- Second incarnation: replay the LSM store and resume. ----
-	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Engine: jobs.EngineLSM, Counters: counters})
+	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
