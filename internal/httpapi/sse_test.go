@@ -129,6 +129,10 @@ func TestSSEStreamsLiveQuery(t *testing.T) {
 	server.Update(QueryState{Name: "panda", Domain: domain})
 	resp, sc := openStream(t, ts.Client(), ts.URL+"/v1/queries/panda/events", -1)
 	defer resp.Body.Close()
+	// Take the replay before starting the run: openStream returns on the
+	// response headers, which the server sends before it replays, so
+	// revisions racing the replay would fold into it.
+	events := readSSE(t, sc, 1)
 
 	ch, err := eng.Stream(context.Background(), questions, golden)
 	if err != nil {
@@ -140,7 +144,7 @@ func TestSSEStreamsLiveQuery(t *testing.T) {
 		followDone <- err
 	}()
 
-	events := readSSE(t, sc, 0)
+	events = append(events, readSSE(t, sc, 0)...)
 	if err := <-followDone; err != nil {
 		t.Fatalf("Follow: %v", err)
 	}

@@ -13,7 +13,10 @@
 //     under content-derived canonical IDs, with every verified answer
 //     fanned back out to all subscribing jobs;
 //   - consults a verified-answer cache (confidence + TTL) before
-//     publishing anything, so repeated questions across time are free;
+//     publishing anything, so repeated questions across time are free —
+//     a request whose every question is a live hit resolves inside
+//     Enqueue, without waiting for a flush generation it would add
+//     nothing to;
 //   - enforces per-job and global budget limits with priority-aware
 //     admission: a job that doesn't fit the remaining budget is parked
 //     (ErrParked), not failed — the jobs layer keeps it in a resumable
@@ -156,19 +159,21 @@ type slotRef struct {
 }
 
 // Ticket is a job's handle on in-flight scheduling. Wait blocks until
-// the request's generation flushes.
+// the request resolves: at Enqueue when every question was a cache hit,
+// otherwise when the request's generation flushes.
 type Ticket struct {
 	req       Request
 	keys      []slotRef // parallel to req.Questions
 	done      chan struct{}
 	abandoned atomic.Bool
 
-	// accumulated under the owning scheduler's flush; immutable after
-	// done closes.
+	// accumulated by whichever path resolves the ticket — Enqueue's
+	// cache path or the owning scheduler's flush, never both; immutable
+	// after done closes.
 	res JobResult
 	err error
 	// spell translates verdicts into the domain spelling of the question
-	// last fanned out to this ticket; only the flush touches it.
+	// last fanned out to this ticket; only the resolving path touches it.
 	spell *spelling
 }
 
@@ -181,10 +186,24 @@ func (t *Ticket) spelling(domain []string) *spelling {
 	return t.spell
 }
 
-// Wait blocks until the request resolves or ctx is done. A parked job
-// surfaces ErrParked. On an engine failure the partial result (cache
-// hits and surviving domain groups, with their attributed cost) is
-// returned alongside the error.
+// answerFromCache records q as answered by the cache entry hit, spelled
+// in q's own domain. It is the only place a cache hit becomes a result,
+// whether the ticket resolves at Enqueue or in its generation's plan.
+func (t *Ticket) answerFromCache(q crowd.Question, hit CachedAnswer) {
+	t.res.CacheHits++
+	t.res.Results = append(t.res.Results, engine.QuestionResult{
+		Question:   q,
+		Answer:     t.spelling(q.Domain).of(hit.Answer),
+		Confidence: hit.Confidence,
+		Votes:      hit.Votes,
+	})
+}
+
+// Wait blocks until the request resolves or ctx is done; a ticket
+// answered entirely from the cache is resolved when Enqueue returns, so
+// Wait returns at once. A parked job surfaces ErrParked. On an engine
+// failure the partial result (cache hits and surviving domain groups,
+// with their attributed cost) is returned alongside the error.
 func (t *Ticket) Wait(ctx context.Context) (JobResult, error) {
 	select {
 	case <-t.done:
@@ -323,8 +342,11 @@ func (s *Scheduler) HITPrice() float64 { return s.estHITCost }
 // per deployment is the price of cross-query sharing.
 func (s *Scheduler) ServiceAccuracy() float64 { return s.serviceAccuracy }
 
-// Enqueue registers a job's question set for the next flush generation
-// and returns its ticket. It never blocks on crowd work.
+// Enqueue registers a job's question set and returns its ticket. A
+// request whose every question is a live cache hit, and whose job is
+// admissible at a zero estimate, is resolved before Enqueue returns;
+// every other request waits for the next flush generation. It never
+// blocks on crowd work, nor on an in-flight generation.
 func (s *Scheduler) Enqueue(req Request) (*Ticket, error) {
 	if req.Job == "" {
 		return nil, errors.New("scheduler: request needs a job name")
@@ -376,6 +398,9 @@ func (s *Scheduler) Enqueue(req Request) (*Ticket, error) {
 		keys[i] = ref
 	}
 	t := &Ticket{req: req, keys: keys, done: make(chan struct{})}
+	if s.resolveFromCache(t) {
+		return t, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -385,6 +410,57 @@ func (s *Scheduler) Enqueue(req Request) (*Ticket, error) {
 	s.stats.PendingJobs = len(s.pending)
 	s.stats.QuestionsEnqueued += int64(len(req.Questions))
 	return t, nil
+}
+
+// resolveFromCache answers t at enqueue when every question is a live
+// cache hit, doing the ledger work its generation would: SetJobLimit,
+// then admission at a zero estimate (an all-hit ticket reserves nothing
+// and opens no slot, so no peer's cost or admission can depend on it).
+// It reports whether t resolved; on false t's result is still empty and
+// t queues for the flush, which probes the cache again. It deliberately skips
+// flushMu: an all-hit job must not wait out an in-flight generation.
+func (s *Scheduler) resolveFromCache(t *Ticket) bool {
+	if s.cfg.DisableDedup {
+		return false
+	}
+	// Probe first, allocating nothing: the common miss stops here.
+	for _, ref := range t.keys {
+		if _, ok := s.cache.Get(ref.key); !ok {
+			return false
+		}
+	}
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return false // Enqueue reports ErrClosed
+	}
+	s.ledger.SetJobLimit(t.req.Job, t.req.Budget)
+	if !s.ledger.Admissible(t.req.Job, 0, 0, 0) {
+		return false // parks at the flush, as it always has
+	}
+	t.res.Results = make([]engine.QuestionResult, 0, len(t.req.Questions))
+	for i, q := range t.req.Questions {
+		hit, ok := s.cache.Get(t.keys[i].key)
+		if !ok {
+			// Expired since the probe (CacheTTL > 0): the flush decides.
+			t.res = JobResult{}
+			return false
+		}
+		t.answerFromCache(q, hit)
+	}
+	sortResults(t.res.Results)
+	n := int64(len(t.req.Questions))
+	s.applyTally(genTally{enqueued: n, cacheHits: n, admitted: 1})
+	close(t.done)
+	return true
+}
+
+// sortResults orders a ticket's results by submitted question ID.
+func sortResults(rs []engine.QuestionResult) {
+	slices.SortFunc(rs, func(a, b engine.QuestionResult) int {
+		return strings.Compare(a.Question.ID, b.Question.ID)
+	})
 }
 
 // slot is one unit of crowd work in a generation: a canonical question
@@ -484,9 +560,7 @@ func (s *Scheduler) Flush(ctx context.Context) error {
 			// ticket that somehow escaped the per-batch marking.
 			t.err = firstErr
 		}
-		slices.SortFunc(t.res.Results, func(a, b engine.QuestionResult) int {
-			return strings.Compare(a.Question.ID, b.Question.ID)
-		})
+		sortResults(t.res.Results)
 		if s.cfg.OnCharge != nil && t.res.Cost > 0 {
 			s.cfg.OnCharge(t.req.Job, t.res.Cost)
 		}
@@ -500,6 +574,7 @@ func (s *Scheduler) Flush(ctx context.Context) error {
 // shared stats and the counter registry in one pass at the end — the
 // plan and fan-out loops must not take a lock per question.
 type genTally struct {
+	enqueued                    int64 // only the enqueue-time cache path sets it
 	cacheHits, cacheMisses      int64
 	published, deduped, batches int64
 	admitted, parked            int64
@@ -509,6 +584,7 @@ type genTally struct {
 // the metrics registry.
 func (s *Scheduler) applyTally(tl genTally) {
 	s.mu.Lock()
+	s.stats.QuestionsEnqueued += tl.enqueued
 	s.stats.CacheHits += tl.cacheHits
 	s.stats.CacheMisses += tl.cacheMisses
 	s.stats.QuestionsPublished += tl.published
@@ -544,13 +620,7 @@ func (s *Scheduler) plan(groups map[string]*group, t *Ticket, dryRun bool, tl *g
 		if !s.cfg.DisableDedup {
 			if hit, ok := s.cache.Get(ref.key); ok {
 				if !dryRun {
-					t.res.CacheHits++
-					t.res.Results = append(t.res.Results, engine.QuestionResult{
-						Question:   q,
-						Answer:     t.spelling(q.Domain).of(hit.Answer),
-						Confidence: hit.Confidence,
-						Votes:      hit.Votes,
-					})
+					t.answerFromCache(q, hit)
 					tl.cacheHits++
 				}
 				continue

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -680,5 +684,363 @@ func TestSchedulerAutoFlush(t *testing.T) {
 	}
 	if len(res.Results) != 6 {
 		t.Errorf("got %d results, want 6", len(res.Results))
+	}
+}
+
+// resolved reports, without blocking, whether tk has resolved.
+func resolved(tk *Ticket) bool {
+	select {
+	case <-tk.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// warmCache buys qs once through a flush so every one is a cache entry.
+func warmCache(t *testing.T, s *Scheduler, qs []crowd.Question) {
+	t.Helper()
+	runWorkload(t, s, map[string][]crowd.Question{"warm": qs}, 1)
+}
+
+// respelled copies qs under new IDs, with the text and every domain
+// answer (truth included) upper-cased: the same canonical questions in
+// another spelling.
+func respelled(prefix string, qs []crowd.Question) []crowd.Question {
+	out := make([]crowd.Question, len(qs))
+	for i, q := range qs {
+		q.ID = fmt.Sprintf("%s/%03d", prefix, len(qs)-i) // reverse order: results must come back sorted
+		q.Text = strings.ToUpper(q.Text)
+		q.Truth = strings.ToUpper(q.Truth)
+		dom := make([]string, len(q.Domain))
+		for j, d := range q.Domain {
+			dom[j] = strings.ToUpper(d)
+		}
+		q.Domain = dom
+		out[i] = q
+	}
+	return out
+}
+
+// TestEnqueueCacheResolve: a request whose every question is a live
+// cache hit resolves inside Enqueue, with exactly the result its
+// generation would have produced; anything else waits for the flush.
+func TestEnqueueCacheResolve(t *testing.T) {
+	warm := workload(1, 6, 0)["job00"]
+	cases := []struct {
+		name   string
+		mutate func(*Config, *time.Time)
+		// after runs between warming the cache and the enqueue.
+		after        func(*Scheduler, *time.Time)
+		req          func() Request
+		wantResolved bool
+		wantErr      error
+	}{
+		{
+			name:         "all hit, respelled domain",
+			req:          func() Request { return Request{Job: "hit", Questions: respelled("hit", warm)} },
+			wantResolved: true,
+		},
+		{
+			name: "partial hit",
+			req: func() Request {
+				return Request{Job: "part", Questions: append(respelled("part", warm), uniqueQuestion("part", 99))}
+			},
+		},
+		{
+			name:   "dedup disabled",
+			mutate: func(c *Config, _ *time.Time) { c.DisableDedup = true },
+			req:    func() Request { return Request{Job: "nodedup", Questions: respelled("nodedup", warm)} },
+		},
+		{
+			name: "expired entry",
+			mutate: func(c *Config, now *time.Time) {
+				c.CacheTTL = time.Hour
+				c.Now = func() time.Time { return *now }
+			},
+			after: func(_ *Scheduler, now *time.Time) { *now = now.Add(2 * time.Hour) },
+			req:   func() Request { return Request{Job: "stale", Questions: respelled("stale", warm)} },
+		},
+		{
+			name:    "closed",
+			after:   func(s *Scheduler, _ *time.Time) { s.Close() },
+			req:     func() Request { return Request{Job: "late", Questions: respelled("late", warm)} },
+			wantErr: ErrClosed,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			now := time.Unix(10_000, 0)
+			reg := metrics.NewRegistry()
+			charged := 0
+			s := newTestScheduler(t, func(cfg *Config) {
+				cfg.Counters = reg
+				cfg.OnCharge = func(string, float64) { charged++ }
+				if c.mutate != nil {
+					c.mutate(cfg, &now)
+				}
+			})
+			warmCache(t, s, warm)
+			if c.after != nil {
+				c.after(s, &now)
+			}
+			before, chargesBefore := s.State(), charged
+			hitsBefore := reg.Get(metrics.CounterSchedCacheHits)
+			req := c.req()
+			tk, err := s.Enqueue(req)
+			if c.wantErr != nil {
+				if !errors.Is(err, c.wantErr) {
+					t.Fatalf("Enqueue err = %v, want %v", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resolved(tk); got != c.wantResolved {
+				t.Fatalf("resolved at Enqueue = %v, want %v", got, c.wantResolved)
+			}
+			if !c.wantResolved {
+				if err := s.Flush(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if res, err := tk.Wait(context.Background()); err != nil || len(res.Results) != len(req.Questions) {
+					t.Fatalf("after flush: %d results, err %v", len(res.Results), err)
+				}
+				return
+			}
+			after := s.State()
+			if after.Generations != before.Generations || after.PendingJobs != 0 {
+				t.Errorf("generations %d -> %d, pending %d: an all-hit request joined a generation",
+					before.Generations, after.Generations, after.PendingJobs)
+			}
+			n := int64(len(req.Questions))
+			if after.QuestionsEnqueued-before.QuestionsEnqueued != n || after.CacheHits-before.CacheHits != n ||
+				after.JobsAdmitted-before.JobsAdmitted != 1 || after.CacheMisses != before.CacheMisses {
+				t.Errorf("stats moved enqueued +%d hits +%d misses +%d admitted +%d; want +%d +%d +0 +1",
+					after.QuestionsEnqueued-before.QuestionsEnqueued, after.CacheHits-before.CacheHits,
+					after.CacheMisses-before.CacheMisses, after.JobsAdmitted-before.JobsAdmitted, n, n)
+			}
+			if got := reg.Get(metrics.CounterSchedCacheHits) - hitsBefore; got != n {
+				t.Errorf("sched_cache_hits moved by %d, want %d", got, n)
+			}
+			res, err := tk.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheHits != len(req.Questions) || res.Cost != 0 || res.Shared != 0 || res.Published != 0 {
+				t.Errorf("result hits %d cost %v shared %d published %d; want %d 0 0 0",
+					res.CacheHits, res.Cost, res.Shared, res.Published, len(req.Questions))
+			}
+			if charged != chargesBefore {
+				t.Errorf("OnCharge called %d times for a free request", charged-chargesBefore)
+			}
+			if len(res.Results) != len(req.Questions) {
+				t.Fatalf("%d results, want %d", len(res.Results), len(req.Questions))
+			}
+			byID := make(map[string]int, len(req.Questions))
+			for i, q := range req.Questions {
+				byID[q.ID] = i
+			}
+			for i, qr := range res.Results {
+				if i > 0 && res.Results[i-1].Question.ID >= qr.Question.ID {
+					t.Errorf("results not sorted by question ID at %d", i)
+				}
+				j := byID[qr.Question.ID]
+				q := req.Questions[j]
+				entry, ok := s.cache.Get(tk.keys[j].key)
+				if !ok {
+					t.Fatalf("%s: no cache entry", q.ID)
+				}
+				var want string
+				for _, d := range q.Domain {
+					if strings.EqualFold(d, entry.Answer) {
+						want = d
+					}
+				}
+				if want == "" || qr.Answer != want || qr.Confidence != entry.Confidence || qr.Votes != entry.Votes ||
+					!slices.Equal(qr.Question.Domain, q.Domain) || qr.Question.Text != q.Text {
+					t.Errorf("%s: got %q conf %v votes %d, want %q (cached %q) conf %v votes %d",
+						q.ID, qr.Answer, qr.Confidence, qr.Votes, want, entry.Answer, entry.Confidence, entry.Votes)
+				}
+			}
+		})
+	}
+}
+
+// TestEnqueueCacheBudgetParity: the enqueue path admits exactly what
+// the flush would. A job or deployment already past its cap is not
+// resolved at Enqueue and parks at the flush, and Budget 0 still
+// clears a previous cap.
+func TestEnqueueCacheBudgetParity(t *testing.T) {
+	warm := workload(1, 5, 0)["job00"]
+	cases := []struct {
+		name    string
+		global  float64
+		restore func(*Ledger)
+		req     Request
+		// wantParked: not resolved at Enqueue, ErrParked after the flush;
+		// otherwise resolved at Enqueue.
+		wantParked bool
+		wantLimit  float64
+	}{
+		{
+			name:       "job spend past its cap",
+			restore:    func(l *Ledger) { l.Restore(l.Spent(), map[string]JobBudget{"capped": {Limit: 0.1, Spent: 0.5}}) },
+			req:        Request{Job: "capped", Budget: 0.1, Questions: respelled("capped", warm)},
+			wantParked: true,
+			wantLimit:  0.1,
+		},
+		{
+			name:       "global spend past its cap",
+			global:     1000,
+			restore:    func(l *Ledger) { l.Restore(2000, nil) },
+			req:        Request{Job: "broke", Questions: respelled("broke", warm)},
+			wantParked: true,
+		},
+		{
+			name:      "budget 0 clears a previous cap",
+			restore:   func(l *Ledger) { l.Restore(l.Spent(), map[string]JobBudget{"freed": {Limit: 0.1, Spent: 0.5}}) },
+			req:       Request{Job: "freed", Questions: respelled("freed", warm)},
+			wantLimit: 0,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := newTestScheduler(t, func(cfg *Config) { cfg.GlobalBudget = c.global })
+			warmCache(t, s, warm)
+			c.restore(s.Ledger())
+			tk, err := s.Enqueue(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resolved(tk); got == c.wantParked {
+				t.Fatalf("resolved at Enqueue = %v, want %v", got, !c.wantParked)
+			}
+			if err := s.Flush(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			_, err = tk.Wait(context.Background())
+			if c.wantParked && !errors.Is(err, ErrParked) {
+				t.Fatalf("err = %v, want ErrParked", err)
+			} else if !c.wantParked && err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range s.Ledger().Snapshot().Jobs {
+				if line.Job == c.req.Job && line.Limit != c.wantLimit {
+					t.Errorf("ledger limit for %s = %v, want %v", line.Job, line.Limit, c.wantLimit)
+				}
+			}
+		})
+	}
+}
+
+// gatedPlatform, once armed, holds every Publish until gate closes and
+// signals the first arrival on entered: a generation frozen mid-crowd-work.
+type gatedPlatform struct {
+	engine.Platform
+	armed         *atomic.Bool
+	gate, entered chan struct{}
+	once          *sync.Once
+}
+
+func (p gatedPlatform) Publish(hit crowd.HIT, n int) (engine.Run, error) {
+	if p.armed.Load() {
+		p.once.Do(func() { close(p.entered) })
+		<-p.gate
+	}
+	return p.Platform.Publish(hit, n)
+}
+
+// TestEnqueueCacheDuringFlush: all-hit requests resolve inside Enqueue
+// while a generation is stalled in crowd work and then while it puts
+// its answers into the cache — they never wait on the flush.
+func TestEnqueueCacheDuringFlush(t *testing.T) {
+	armed, gate, entered := new(atomic.Bool), make(chan struct{}), make(chan struct{})
+	s := newTestScheduler(t, func(c *Config) {
+		c.Platform = gatedPlatform{Platform: c.Platform, armed: armed, gate: gate, entered: entered, once: new(sync.Once)}
+	})
+	warm := workload(1, 8, 0)["job00"]
+	warmCache(t, s, warm)
+	armed.Store(true)
+
+	freshQs := make([]crowd.Question, 30)
+	for i := range freshQs {
+		freshQs[i] = uniqueQuestion("fresh", i)
+	}
+	fresh, err := s.Enqueue(Request{Job: "fresh", Questions: freshQs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- s.Flush(context.Background()) }()
+
+	var served atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				job := fmt.Sprintf("hit-%d-%d", g, i)
+				tk, err := s.Enqueue(Request{Job: job, Questions: respelled(job, warm)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !resolved(tk) {
+					t.Errorf("%s: all-hit request not resolved at Enqueue", job)
+					return
+				}
+				if res, _ := tk.Wait(context.Background()); len(res.Results) != len(warm) || res.CacheHits != len(warm) {
+					t.Errorf("%s: %d results, %d hits", job, len(res.Results), res.CacheHits)
+					return
+				}
+				served.Add(1)
+			}
+		}(g)
+	}
+	<-entered
+	base := served.Load()
+	for deadline := time.Now().Add(10 * time.Second); served.Load() < base+16 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := served.Load() - base; n < 16 {
+		t.Errorf("only %d all-hit requests served while a generation was in flight", n)
+	}
+	close(gate)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if res, err := fresh.Wait(context.Background()); err != nil || len(res.Results) != 30 {
+		t.Fatalf("fresh: %d results, err %v", len(res.Results), err)
+	}
+}
+
+// TestEnqueueCacheMissAllocatesNothing: the enqueue-time probe stops at
+// the first miss without allocating, so requests that need the crowd
+// pay nothing for the all-hit path.
+func TestEnqueueCacheMissAllocatesNothing(t *testing.T) {
+	s := newTestScheduler(t, nil)
+	warm := workload(1, 6, 0)["job00"]
+	warmCache(t, s, warm)
+	tk, err := s.Enqueue(Request{Job: "part", Questions: append(respelled("part", warm), uniqueQuestion("part", 99))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if s.resolveFromCache(tk) {
+			t.Fatal("a request with a miss resolved at Enqueue")
+		}
+	}); allocs != 0 {
+		t.Errorf("miss path allocated %v times per probe, want 0", allocs)
 	}
 }
