@@ -7,7 +7,6 @@ package jobs
 // in-memory and persistent secondary indexes to the primary records.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -769,7 +768,7 @@ func checkLSMIndexes(t *testing.T, dir, label string) map[string]walStatus {
 	primary := map[string]walStatus{}
 	err = l.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(k string, v []byte) bool {
 		var ws walStatus
-		if err := json.Unmarshal(v, &ws); err != nil {
+		if err := decodeRecord(v, &ws); err != nil {
 			t.Fatalf("primary record %q: %v", k, err)
 		}
 		primary[ws.Job.Name] = ws

@@ -172,11 +172,11 @@ func loadLogImage(img *jobstore.LogImage) (*Manager, BudgetState, map[string]Str
 	return m, budget, streams, nil
 }
 
-// writeLSMStore creates the LSM store and commits every job's primary
-// record plus its state, priority and tenant index entries — each
-// job's records inside one atomic batch, many jobs per batch to bound
-// fsyncs — then checkpoints so the result boots from a sorted run
-// instead of a WAL tail.
+// writeLSMStore creates the LSM store and commits every job as the
+// service commits its submission (lsmBatch: the primary record plus its
+// state, priority and tenant index entries), many jobs per atomic batch
+// to bound fsyncs, then checkpoints so the result boots from a sorted
+// run instead of a WAL tail.
 func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams map[string]StreamMark) error {
 	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
 	if err != nil {
@@ -197,19 +197,11 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 		return nil
 	}
 	for _, st := range statuses {
-		ws := toWal(st)
-		payload, err := json.Marshal(ws)
+		ops, err := lsmBatch(walEvent{Op: "submit", Status: toWal(st)}, "")
 		if err != nil {
-			return fmt.Errorf("jobs: encoding job record %q: %w", ws.Job.Name, err)
+			return fmt.Errorf("job %q: %w", st.Job.Name, err)
 		}
-		batch = append(batch,
-			jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload},
-			jobstore.Op{Key: lsmStateKey(ws.State, ws.Seq, ws.Job.Name)},
-			jobstore.Op{Key: lsmPrioKey(ws.Job.Priority, ws.Job.Name)},
-		)
-		if ws.Job.Tenant != "" {
-			batch = append(batch, jobstore.Op{Key: lsmTenantKey(ws.Job.Tenant, ws.Job.Name)})
-		}
+		batch = append(batch, ops...)
 		if jobsInBatch++; jobsInBatch >= migrateBatchJobs {
 			if err := flush(); err != nil {
 				return err
@@ -225,11 +217,11 @@ func writeLSMStore(dir string, statuses []Status, budget BudgetState, streams ma
 	}
 	sort.Strings(streamNames)
 	for _, name := range streamNames {
-		payload, err := json.Marshal(streamRecord{Job: name, Mark: streams[name]})
+		ops, err := lsmBatch(walEvent{Op: "stream", Stream: &streamRecord{Job: name, Mark: streams[name]}}, "")
 		if err != nil {
-			return fmt.Errorf("jobs: encoding stream mark %q: %w", name, err)
+			return fmt.Errorf("stream mark %q: %w", name, err)
 		}
-		batch = append(batch, jobstore.Op{Key: lsmStreamKey(name), Value: payload})
+		batch = append(batch, ops...)
 	}
 	if err := flush(); err != nil {
 		return err

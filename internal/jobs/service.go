@@ -117,7 +117,7 @@ type stagedTx struct {
 // LSM keyspace. The primary record lives under "j/<name>"; secondary
 // index entries are empty values whose keys order the scan:
 //
-//	j/<name>                      → walStatus JSON (current record)
+//	j/<name>                      → walStatus, binary (record.go; JSON in older stores)
 //	b                             → {"global_spent":…} (ledger total)
 //	b/<job>                       → that job's spend, a JSON number
 //	xs/<state>/<seq>/<name>       state index, FIFO order within a state
@@ -268,7 +268,7 @@ func loadLSMState(lsm *jobstore.LSM, m *Manager) (budget BudgetState, unsplit bo
 	if err == nil && decodeErr == nil {
 		err = lsm.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(key string, val []byte) bool {
 			var ws walStatus
-			if decodeErr = json.Unmarshal(val, &ws); decodeErr != nil {
+			if decodeErr = decodeRecord(val, &ws); decodeErr != nil {
 				decodeErr = fmt.Errorf("jobs: decoding job record %q: %w", key, decodeErr)
 				return false
 			}
@@ -359,9 +359,10 @@ type streamRecord struct {
 	Mark StreamMark `json:"mark"`
 }
 
-// walStatus is a job lifecycle record as stored under j/<name> (and as
-// the append-only log format wrote it). It mirrors Status plus the FIFO
-// sequence.
+// walStatus is a job lifecycle record: Status plus the FIFO sequence.
+// Under j/<name> it is stored in the binary format of record.go; the
+// JSON tags spell it as the append-only log format and older j/ values
+// hold it.
 type walStatus struct {
 	Job      Job     `json:"job"`
 	State    State   `json:"state"`
@@ -731,7 +732,7 @@ func lsmBatch(ev walEvent, prevState State) ([]jobstore.Op, error) {
 		batch = append(batch, jobstore.Op{Key: lsmStreamKey(ev.Stream.Job), Value: payload})
 	} else {
 		ws := ev.Status
-		payload, err := json.Marshal(ws)
+		payload, err := encodeRecord(ws)
 		if err != nil {
 			return nil, fmt.Errorf("jobs: encoding job record: %w", err)
 		}

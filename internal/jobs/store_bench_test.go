@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"testing"
@@ -57,17 +56,11 @@ func buildBenchStore(b *testing.B, dir string) {
 	}
 	var batch []jobstore.Op
 	for i := 0; i < benchStoreJobs; i++ {
-		ws := benchStatus(i)
-		payload, err := json.Marshal(ws)
+		ops, err := lsmBatch(walEvent{Op: "submit", Status: benchStatus(i)}, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		batch = append(batch,
-			jobstore.Op{Key: lsmPrimaryKey(ws.Job.Name), Value: payload},
-			jobstore.Op{Key: lsmStateKey(ws.State, ws.Seq, ws.Job.Name)},
-			jobstore.Op{Key: lsmPrioKey(ws.Job.Priority, ws.Job.Name)},
-			jobstore.Op{Key: lsmTenantKey(ws.Job.Tenant, ws.Job.Name)},
-		)
+		batch = append(batch, ops...)
 		if len(batch) >= 4096 {
 			if err := lsm.Apply(batch); err != nil {
 				b.Fatal(err)
