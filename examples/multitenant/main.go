@@ -133,12 +133,9 @@ func run(seed uint64, dispatchers int, budget float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", t.name, err)
 		}
-		acc := exec.NewAccumulator(textgen.Labels, t.keywords...)
-		for id, text := range matches[i].Texts {
-			acc.AddText(id, text)
-		}
-		acc.Observe(exec.OutcomesFromResults(res.Results)...)
-		sum := acc.Summary()
+		fold := exec.NewFold(textgen.Labels, t.keywords...)
+		fold.ObserveResults(res.Results, matches[i].Texts)
+		sum := fold.Summary()
 		fmt.Printf("%s (%s + %s): %d questions, $%.3f attributed (published %d, shared %d, cached %d)\n",
 			t.name, t.keywords[0], t.keywords[1], len(res.Results), res.Cost,
 			res.Published, res.Shared, res.CacheHits)

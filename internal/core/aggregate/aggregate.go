@@ -33,12 +33,10 @@ const DefaultName = "cdas"
 
 // Vote is one worker's answer to one question, annotated with the
 // worker's estimated historical accuracy (used by accuracy-aware
-// methods; agreement-driven methods ignore it).
-type Vote struct {
-	Worker   string
-	Answer   string
-	Accuracy float64
-}
+// methods; agreement-driven methods ignore it). It is the verification
+// model's own vote type, so the CDAS folder stores the caller's votes
+// as they are, with no conversion and no second copy.
+type Vote = verification.Vote
 
 // Question identifies one question of a batch: its ID and the
 // answer-domain size m = |R| its confidences normalise over.
@@ -94,13 +92,21 @@ type Spec struct {
 	M int
 	// MeanAccuracy is the population-mean accuracy E[a].
 	MeanAccuracy float64
+	// Votes is the caller's store for this question's votes: an empty
+	// buffer of capacity Planned. The folder appends every vote it
+	// folds there, in fold order, and keeps no copy of its own, so the
+	// caller reads the votes back as Votes[:Received()]. The engine cuts
+	// every question's buffer from one slab per HIT. Nil lets the folder
+	// keep whatever it needs itself.
+	Votes []Vote
 }
 
 // Folder accumulates one question's votes as assignments arrive and
 // exposes the running verdict. Folders are not safe for concurrent use;
 // the engine owns one per in-flight question.
 type Folder interface {
-	// Fold records one vote. Implementations reject folds past the
+	// Fold records one vote, appending it to Spec.Votes when the caller
+	// supplied that buffer. Implementations reject folds past the
 	// planned assignment count.
 	Fold(Vote) error
 	// Received reports how many votes have been folded.

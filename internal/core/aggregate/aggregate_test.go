@@ -324,7 +324,7 @@ func TestCDASBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, q := range b.Questions {
-			direct, err := verification.Verify(toVerificationVotes(b.Votes[q.ID]), q.M)
+			direct, err := verification.Verify(b.Votes[q.ID], q.M)
 			if err != nil {
 				t.Fatalf("trial %d %s: Verify: %v", trial, q.ID, err)
 			}
@@ -359,7 +359,7 @@ func TestMajorityMatchesBaseline(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, q := range b.Questions {
-			baseline, ok := verification.MajorityVoting(toVerificationVotes(b.Votes[q.ID]))
+			baseline, ok := verification.MajorityVoting(b.Votes[q.ID])
 			if !ok {
 				continue // tie: the baseline abstains, the aggregator must still decide
 			}

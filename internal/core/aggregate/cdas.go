@@ -30,7 +30,7 @@ func (cdasAggregator) Aggregate(b Batch) (Result, error) {
 		if len(votes) == 0 {
 			continue
 		}
-		res, err := verification.Verify(toVerificationVotes(votes), q.M)
+		res, err := verification.Verify(votes, q.M)
 		if err != nil {
 			return Result{}, fmt.Errorf("aggregate: question %s: %w", q.ID, err)
 		}
@@ -41,9 +41,9 @@ func (cdasAggregator) Aggregate(b Batch) (Result, error) {
 
 // NewFolder implements Incremental by wrapping an online.Verifier: the
 // same construction, fold and ranking code the engine ran before the
-// interface existed.
+// interface existed. The verifier keeps its votes in spec.Votes.
 func (cdasAggregator) NewFolder(spec Spec) (Folder, error) {
-	v, err := online.NewVerifier(spec.Planned, spec.M, spec.MeanAccuracy)
+	v, err := online.NewVerifierInto(spec.Planned, spec.M, spec.MeanAccuracy, spec.Votes)
 	if err != nil {
 		return nil, err
 	}
@@ -55,9 +55,7 @@ func (cdasAggregator) NewFolder(spec Spec) (Folder, error) {
 // working through the interface.
 type cdasFolder struct{ v *online.Verifier }
 
-func (f *cdasFolder) Fold(vote Vote) error {
-	return f.v.Add(verification.Vote{Worker: vote.Worker, Accuracy: vote.Accuracy, Answer: vote.Answer})
-}
+func (f *cdasFolder) Fold(vote Vote) error { return f.v.Add(vote) }
 
 func (f *cdasFolder) Received() int { return f.v.Received() }
 
@@ -72,16 +70,6 @@ func (f *cdasFolder) Verdict() (Verdict, error) {
 // Terminated reports the online early-termination predicate of
 // Section 4.2.2 (see online.Verifier.Terminated).
 func (f *cdasFolder) Terminated(s online.Strategy) bool { return f.v.Terminated(s) }
-
-// toVerificationVotes converts aggregate votes to the verification
-// package's vote shape.
-func toVerificationVotes(votes []Vote) []verification.Vote {
-	out := make([]verification.Vote, len(votes))
-	for i, v := range votes {
-		out[i] = verification.Vote{Worker: v.Worker, Accuracy: v.Accuracy, Answer: v.Answer}
-	}
-	return out
-}
 
 // verdictFromResult converts a verification result into a Verdict.
 func verdictFromResult(res verification.Result) Verdict {

@@ -44,15 +44,17 @@ func (majorityAggregator) NewFolder(spec Spec) (Folder, error) {
 	if spec.Planned < 1 {
 		return nil, fmt.Errorf("aggregate: planned assignments must be >= 1, got %d", spec.Planned)
 	}
-	return &majorityFolder{planned: spec.Planned, counts: make(map[string]float64, 4)}, nil
+	return &majorityFolder{planned: spec.Planned, counts: make(map[string]float64, 4), votes: spec.Votes}, nil
 }
 
 // majorityFolder folds votes into per-answer counts — the incremental
-// form is exact because majority voting is a running tally.
+// form is exact because majority voting is a running tally. It stores
+// the votes themselves only into the caller's buffer, when given one.
 type majorityFolder struct {
 	planned  int
 	received int
 	counts   map[string]float64
+	votes    []Vote // Spec.Votes; nil when the caller keeps no votes
 }
 
 func (f *majorityFolder) Fold(vote Vote) error {
@@ -61,6 +63,9 @@ func (f *majorityFolder) Fold(vote Vote) error {
 	}
 	f.received++
 	f.counts[vote.Answer]++
+	if f.votes != nil {
+		f.votes = append(f.votes, vote)
+	}
 	return nil
 }
 
@@ -83,13 +88,17 @@ var ErrOverfilled = fmt.Errorf("aggregate: more votes than planned assignments")
 // Zero-Based Skill with skills) all rank through this one routine, so
 // equal weights provably reduce them to plain majority.
 func shareVerdict(scores map[string]float64) Verdict {
-	total := 0.0
 	answers := make([]string, 0, len(scores))
-	for a, s := range scores {
+	for a := range scores {
 		answers = append(answers, a)
-		total += s
 	}
 	sort.Strings(answers)
+	// Sum in answer order, not map order: float addition is not
+	// associative, and the confidences must not vary run to run.
+	total := 0.0
+	for _, a := range answers {
+		total += scores[a]
+	}
 	ranked := make([]verification.Scored, 0, len(answers))
 	if total > 0 {
 		for _, a := range answers {

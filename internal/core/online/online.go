@@ -74,6 +74,15 @@ type Verifier struct {
 // answers from a domain of m possible answers, where unseen workers have
 // mean accuracy meanAcc. total must be >= 1, m >= 2 and meanAcc in (0, 1).
 func NewVerifier(total, m int, meanAcc float64) (*Verifier, error) {
+	return NewVerifierInto(total, m, meanAcc, nil)
+}
+
+// NewVerifierInto is NewVerifier storing the votes in buf, the caller's
+// vote store for this question: Add appends to buf[:0], so a buffer of
+// capacity total is never reallocated and the caller reads the votes
+// back as buf[:Received()] without the Verifier holding a copy. A nil
+// buf lets the Verifier allocate as it goes.
+func NewVerifierInto(total, m int, meanAcc float64, buf []verification.Vote) (*Verifier, error) {
 	if total < 1 {
 		return nil, fmt.Errorf("online: total assignments must be >= 1, got %d", total)
 	}
@@ -83,7 +92,7 @@ func NewVerifier(total, m int, meanAcc float64) (*Verifier, error) {
 	if math.IsNaN(meanAcc) || meanAcc <= 0 || meanAcc >= 1 {
 		return nil, fmt.Errorf("online: mean accuracy must be in (0, 1), got %v", meanAcc)
 	}
-	return &Verifier{total: total, m: m, meanAcc: meanAcc}, nil
+	return &Verifier{total: total, m: m, meanAcc: meanAcc, votes: buf[:0]}, nil
 }
 
 // ErrOverfilled reports more Add calls than planned assignments.

@@ -195,10 +195,14 @@ type Answer struct {
 
 // Assignment is one worker's completed copy of a HIT.
 type Assignment struct {
-	HITID      string
-	Worker     *Worker
-	Answers    []Answer // parallel to the HIT's Questions
-	SubmitTime float64  // virtual seconds after publication
+	HITID  string
+	Worker *Worker
+	// Answers is parallel to the published HIT's Questions: Answers[p]
+	// answers Questions[p]. The engine relies on that to read each answer
+	// by position (AnswerAt). A platform that returns answers in another
+	// order stays correct but pays AnswerTo's scan for every read.
+	Answers    []Answer
+	SubmitTime float64 // virtual seconds after publication
 }
 
 // AnswerTo returns this assignment's answer to the given question ID,
@@ -210,6 +214,18 @@ func (a Assignment) AnswerTo(questionID string) string {
 		}
 	}
 	return ""
+}
+
+// AnswerAt returns this assignment's answer to the question published at
+// position p of the HIT, whose ID is questionID. It reads Answers[p] when
+// that entry carries questionID and falls back to AnswerTo otherwise. For
+// the first position carrying questionID — every position, in a HIT whose
+// question IDs are unique — it returns exactly what AnswerTo does.
+func (a Assignment) AnswerAt(p int, questionID string) string {
+	if p < len(a.Answers) && a.Answers[p].QuestionID == questionID {
+		return a.Answers[p].Value
+	}
+	return a.AnswerTo(questionID)
 }
 
 // Publication errors.

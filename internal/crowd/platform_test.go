@@ -340,6 +340,24 @@ func TestAnswerToUnknownQuestion(t *testing.T) {
 	}
 }
 
+// TestAnswerAtChecksThePosition: a positional read trusts Answers[p] only
+// when it carries the asked-for ID, and otherwise answers as AnswerTo.
+func TestAnswerAtChecksThePosition(t *testing.T) {
+	a := Assignment{Answers: []Answer{{QuestionID: "b", Value: "vb"}, {QuestionID: "a", Value: "va"}}}
+	for _, c := range []struct {
+		p        int
+		id, want string
+	}{
+		{0, "b", "vb"}, {1, "a", "va"}, // in place
+		{0, "a", "va"}, {1, "b", "vb"}, // out of place: the scan finds it
+		{5, "a", "va"}, {0, "nope", ""}, // past the end; unknown
+	} {
+		if got := a.AnswerAt(c.p, c.id); got != c.want {
+			t.Errorf("AnswerAt(%d, %q) = %q, want %q", c.p, c.id, got, c.want)
+		}
+	}
+}
+
 func TestBehaviorString(t *testing.T) {
 	for b, want := range map[Behavior]string{
 		Honest: "honest", Spammer: "spammer", Adversarial: "adversarial",

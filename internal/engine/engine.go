@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -387,47 +386,19 @@ func (e *Engine) runBatch(ctx context.Context, job batchJob) (BatchResult, error
 		return BatchResult{}, fmt.Errorf("engine: need %d golden questions, have %d", nGolden, len(golden))
 	}
 
-	// Assemble and shuffle the HIT's question list. Sanitisation happens
-	// before anything is stored or published, so neither the platform nor
-	// the engine's own results ever carry unmasked text.
-	sanitize := func(q crowd.Question) crowd.Question {
-		if e.cfg.Privacy != nil {
-			return e.cfg.Privacy.SanitizeQuestion(q)
-		}
-		return q
-	}
-	questions, goldenIDs, realIDs, err := func() ([]crowd.Question, map[string]crowd.Question, map[string]crowd.Question, error) {
+	hit, err := func() (hitLayout, error) {
 		rng := job.rng
 		if rng == nil {
 			e.mu.Lock()
 			defer e.mu.Unlock()
 			rng = e.rng
 		}
-		questions := make([]crowd.Question, 0, len(real)+nGolden)
-		goldenIDs := make(map[string]crowd.Question, nGolden)
-		for _, idx := range rng.SampleWithoutReplacement(len(golden), nGolden) {
-			q := sanitize(golden[idx])
-			goldenIDs[q.ID] = q
-			questions = append(questions, q)
-		}
-		realIDs := make(map[string]crowd.Question, len(real))
-		for _, raw := range real {
-			q := sanitize(raw)
-			if _, dup := realIDs[q.ID]; dup {
-				return nil, nil, nil, fmt.Errorf("engine: duplicate question id %q", q.ID)
-			}
-			if _, clash := goldenIDs[q.ID]; clash {
-				return nil, nil, nil, fmt.Errorf("engine: question id %q collides with a golden question", q.ID)
-			}
-			realIDs[q.ID] = q
-			questions = append(questions, q)
-		}
-		randx.Shuffle(rng, questions)
-		return questions, goldenIDs, realIDs, nil
+		return e.layoutHIT(rng, real, golden, nGolden)
 	}()
 	if err != nil {
 		return BatchResult{}, err
 	}
+	questions, gold, reals := hit.questions, hit.gold, hit.reals
 
 	n := job.workers
 	run, err := e.platform.Publish(crowd.HIT{ID: job.hitID, Title: e.cfg.JobName, Questions: questions}, n)
@@ -435,28 +406,35 @@ func (e *Engine) runBatch(ctx context.Context, job batchJob) (BatchResult, error
 		return BatchResult{}, err
 	}
 
-	// Per-question folders for incremental aggregators (the CDAS model's
-	// folder wraps its online verifier, m = |domain| — the engine knows
-	// R for each question it generated). Batch-only aggregators instead
-	// run once over the collected votes when the stream drains.
+	// The HIT's vote store: question i (in ID order) keeps its votes, in
+	// arrival order, in votes[i], a window of capacity n on one slab. Each
+	// consumed assignment adds exactly one vote to every question, so no
+	// window ever grows past n. Incremental aggregators fold into per-
+	// question folders that append to the same windows (the CDAS folder
+	// wraps its online verifier, m = |domain| — the engine knows R for
+	// each question it generated); batch-only aggregators run once over
+	// the windows when the stream drains.
+	slab := make([]aggregate.Vote, len(reals)*n)
+	votes := make([][]aggregate.Vote, len(reals))
+	for i := range votes {
+		votes[i] = slab[i*n : i*n : (i+1)*n]
+	}
 	inc, isInc := e.agg.(aggregate.Incremental)
-	folders := make(map[string]aggregate.Folder, len(real))
+	var folders []aggregate.Folder
 	if isInc {
-		for id, q := range realIDs {
-			f, err := inc.NewFolder(aggregate.Spec{Planned: n, M: len(q.Domain), MeanAccuracy: job.meanAcc})
+		folders = make([]aggregate.Folder, len(reals))
+		for i, r := range reals {
+			f, err := inc.NewFolder(aggregate.Spec{Planned: n, M: len(questions[r.pos].Domain), MeanAccuracy: job.meanAcc, Votes: votes[i]})
 			if err != nil {
 				return BatchResult{}, err
 			}
-			folders[id] = f
+			folders[i] = f
 		}
 	}
-	// Votes are collected for every aggregator: batch methods consume
-	// them wholesale, and the per-question agreement quality is computed
-	// from them either way.
-	collected := make(map[string][]aggregate.Vote, len(real))
 
 	res := BatchResult{HITID: run.HIT().ID, PlannedWorkers: n, GoldenCount: nGolden}
-	tallies := make(map[string]goldenTally)
+	tallies := make(map[string]goldenTally, n)
+	voters := make([]string, 0, n) // worker of each consumed assignment
 	consume := func(run Run) error {
 		defer func() { res.Cost += run.Charged() }()
 		for {
@@ -474,13 +452,14 @@ func (e *Engine) runBatch(ctx context.Context, job batchJob) (BatchResult, error
 				continue // answers from barred workers are discarded (still paid)
 			}
 			res.UsedWorkers++
+			voters = append(voters, a.Worker.ID)
 			// Score golden questions first so this worker's vote weight
 			// uses the freshest estimate (Algorithm 4). Outcomes go to
 			// the shared store (history for later pipelines) and to the
 			// HIT-local tally the weight is actually computed from.
 			t := tallies[a.Worker.ID]
-			for id, gq := range goldenIDs {
-				correct := a.AnswerTo(id) == gq.Truth
+			for _, g := range gold {
+				correct := a.AnswerAt(g.pos, g.id) == g.truth
 				e.store.Record(e.cfg.JobName, a.Worker.ID, correct)
 				t.total++
 				if correct {
@@ -491,20 +470,21 @@ func (e *Engine) runBatch(ctx context.Context, job batchJob) (BatchResult, error
 			// Vote weights shrink towards the population mean until enough
 			// golden evidence accumulates; see profile.ShrunkAccuracy.
 			acc := job.snap.ShrunkAccuracy(a.Worker.ID, t.correct, t.total, e.cfg.FallbackAccuracy, accuracyPseudoCounts)
-			for id := range realIDs {
+			for i, r := range reals {
 				vote := aggregate.Vote{
 					Worker:   a.Worker.ID,
 					Accuracy: acc,
-					Answer:   a.AnswerTo(id),
+					Answer:   a.AnswerAt(r.pos, r.id),
 				}
 				if isInc {
-					if err := folders[id].Fold(vote); err != nil {
-						return fmt.Errorf("engine: question %s: %w", id, err)
+					if err := folders[i].Fold(vote); err != nil {
+						return fmt.Errorf("engine: question %s: %w", r.id, err)
 					}
-				} else if len(collected[id]) >= n {
-					return fmt.Errorf("engine: question %s: %w", id, aggregate.ErrOverfilled)
+				} else if len(votes[i]) == n {
+					return fmt.Errorf("engine: question %s: %w", r.id, aggregate.ErrOverfilled)
+				} else {
+					votes[i] = append(votes[i], vote)
 				}
-				collected[id] = append(collected[id], vote)
 			}
 			if isInc && e.cfg.Strategy != online.Never && allTerminated(folders, e.cfg.Strategy) {
 				run.Cancel()
@@ -540,38 +520,49 @@ func (e *Engine) runBatch(ctx context.Context, job batchJob) (BatchResult, error
 		}
 	}
 
-	// Batch-only aggregators run once over everything collected; the
-	// incremental ones already hold their verdicts in the folders.
+	// The incremental aggregators already hold their verdicts, and their
+	// folders appended the votes to the windows; batch-only aggregators
+	// run once over the windows now.
 	var batchOut aggregate.Result
-	if !isInc {
-		batch := aggregate.Batch{Votes: collected, MeanAccuracy: job.meanAcc}
-		for id, q := range realIDs {
-			batch.Questions = append(batch.Questions, aggregate.Question{ID: id, M: len(q.Domain)})
+	if isInc {
+		for i, f := range folders {
+			votes[i] = votes[i][:f.Received()]
 		}
-		sort.Slice(batch.Questions, func(i, j int) bool { return batch.Questions[i].ID < batch.Questions[j].ID })
+	} else {
+		batch := aggregate.Batch{
+			Questions:    make([]aggregate.Question, len(reals)),
+			Votes:        make(map[string][]aggregate.Vote, len(reals)),
+			MeanAccuracy: job.meanAcc,
+		}
+		for i, r := range reals {
+			batch.Questions[i] = aggregate.Question{ID: r.id, M: len(questions[r.pos].Domain)}
+			batch.Votes[r.id] = votes[i]
+		}
 		out, err := e.agg.Aggregate(batch)
 		if err != nil {
 			return BatchResult{}, fmt.Errorf("engine: %w", err)
 		}
 		batchOut = out
 	}
-	for id, q := range realIDs {
-		qr := QuestionResult{Question: q, Votes: len(collected[id])}
+	res.Results = make([]QuestionResult, len(reals))
+	for i, r := range reals {
+		qr := &res.Results[i]
+		qr.Question, qr.Votes = questions[r.pos], len(votes[i])
 		var verdict aggregate.Verdict
 		ok := false
 		if isInc {
-			if v, err := folders[id].Verdict(); err == nil {
+			if v, err := folders[i].Verdict(); err == nil {
 				verdict, ok = v, true
 			}
 		} else {
-			verdict, ok = batchOut.Verdicts[id]
+			verdict, ok = batchOut.Verdicts[r.id]
 		}
 		if ok {
 			qr.Answer = verdict.Answer
 			qr.Confidence = verdict.Confidence
 			qr.Ranked = verdict.Ranked
 			agree := 0
-			for _, v := range collected[id] {
+			for _, v := range votes[i] {
 				if v.Answer == verdict.Answer {
 					agree++
 				}
@@ -580,21 +571,23 @@ func (e *Engine) runBatch(ctx context.Context, job batchJob) (BatchResult, error
 				qr.Quality = float64(agree) / float64(qr.Votes)
 			}
 		}
-		res.Results = append(res.Results, qr)
 	}
-	sortResults(res.Results)
-	res.WorkerQuality = e.workerQuality(batchOut, res.Results, collected, isInc)
+	if !isInc && batchOut.WorkerQuality != nil {
+		res.WorkerQuality = batchOut.WorkerQuality
+	} else {
+		res.WorkerQuality = agreementQuality(res.Results, votes, voters)
+	}
 	if e.cfg.QualityFeedback {
 		// Feed each worker's agreement with the accepted answers back
 		// into the profile store, so vote weights improve online even
 		// without golden questions. Iterate results in sorted order and
 		// votes in arrival order — recording is order-sensitive only in
 		// that it must be deterministic.
-		for _, qr := range res.Results {
+		for i, qr := range res.Results {
 			if qr.Answer == "" {
 				continue
 			}
-			for _, v := range collected[qr.Question.ID] {
+			for _, v := range votes[i] {
 				e.store.Record(e.cfg.JobName, v.Worker, v.Answer == qr.Answer)
 			}
 		}
@@ -602,32 +595,134 @@ func (e *Engine) runBatch(ctx context.Context, job batchJob) (BatchResult, error
 	return res, nil
 }
 
-// workerQuality assembles the per-HIT worker quality map: the batch
-// aggregator's own estimate when it produced one, otherwise the share
-// of each worker's votes agreeing with the accepted answers.
-func (e *Engine) workerQuality(batchOut aggregate.Result, results []QuestionResult, collected map[string][]aggregate.Vote, isInc bool) map[string]float64 {
-	if !isInc && batchOut.WorkerQuality != nil {
-		return batchOut.WorkerQuality
+// goldenSlot is one golden question of a published HIT: what it is
+// scored against and where it sits.
+type goldenSlot struct {
+	id, truth string
+	pos       int // first position publishing id
+}
+
+// realSlot is one real question of a published HIT: its ID and its
+// position in the published question list.
+type realSlot struct {
+	id  string
+	pos int
+}
+
+// hitLayout is one HIT as published: its shuffled, sanitised question
+// list, the golden questions (one per distinct ID) and the real
+// questions in ascending ID order — the order of the batch's results.
+type hitLayout struct {
+	questions []crowd.Question
+	gold      []goldenSlot
+	reals     []realSlot
+}
+
+// layoutHIT assembles one HIT: it samples nGolden golden questions,
+// rejects duplicate or golden-colliding real IDs, shuffles golden and
+// real questions together and sanitises them, drawing from rng exactly
+// as sampling then shuffling the question list itself would.
+// Sanitisation happens before anything is stored or published, so
+// neither the platform nor the engine's own results ever carry unmasked
+// text. A golden ID sampled twice is scored once, against the truth of
+// its last copy and the answer at its first position.
+func (e *Engine) layoutHIT(rng *randx.Source, real, golden []crowd.Question, nGolden int) (hitLayout, error) {
+	// The unshuffled list is the sampled golden questions, then real:
+	// listed index k < len(sampled) is golden[sampled[k]].
+	sampled := rng.SampleWithoutReplacement(len(golden), nGolden)
+	gold := make([]goldenSlot, 0, len(sampled))
+	goldOf := make([]int, len(sampled)) // listed index -> gold index
+	goldAt := make(map[string]int, len(sampled))
+	for k, idx := range sampled {
+		q := golden[idx]
+		if g, dup := goldAt[q.ID]; dup {
+			gold[g].truth = q.Truth
+			goldOf[k] = g
+			continue
+		}
+		goldAt[q.ID] = len(gold)
+		goldOf[k] = len(gold)
+		gold = append(gold, goldenSlot{id: q.ID, truth: q.Truth, pos: -1})
 	}
-	agree := make(map[string]int)
-	total := make(map[string]int)
-	for _, qr := range results {
+	// Real questions in ID order; pos holds the listed index until the
+	// shuffle below places it.
+	reals := make([]realSlot, len(real))
+	for i, q := range real {
+		reals[i] = realSlot{id: q.ID, pos: len(sampled) + i}
+	}
+	slices.SortStableFunc(reals, func(a, b realSlot) int { return strings.Compare(a.id, b.id) })
+	for i, r := range reals {
+		if i > 0 && r.id == reals[i-1].id {
+			return hitLayout{}, fmt.Errorf("engine: duplicate question id %q", r.id)
+		}
+		if _, clash := goldAt[r.id]; clash {
+			return hitLayout{}, fmt.Errorf("engine: question id %q collides with a golden question", r.id)
+		}
+	}
+	// Shuffle a permutation rather than the list: the draws depend only
+	// on the length, so the published order is the one shuffling the
+	// list would give, and the permutation says where everything went.
+	perm := make([]int, len(sampled)+len(real))
+	for i := range perm {
+		perm[i] = i
+	}
+	randx.Shuffle(rng, perm)
+	questions := make([]crowd.Question, len(perm))
+	at := make([]int, len(perm)) // listed index -> published position
+	for p, k := range perm {
+		var q crowd.Question
+		if k < len(sampled) {
+			q = golden[sampled[k]]
+			if g := &gold[goldOf[k]]; g.pos < 0 {
+				g.pos = p
+			}
+		} else {
+			q = real[k-len(sampled)]
+		}
+		if e.cfg.Privacy != nil {
+			q = e.cfg.Privacy.SanitizeQuestion(q)
+		}
+		questions[p] = q
+		at[k] = p
+	}
+	for i := range reals {
+		reals[i].pos = at[reals[i].pos]
+	}
+	return hitLayout{questions: questions, gold: gold, reals: reals}, nil
+}
+
+// agreementQuality is the per-HIT worker quality of the voting methods:
+// the share of each worker's votes agreeing with the accepted answers.
+// votes[i] holds results[i]'s votes, and vote k of every question came
+// from voters[k], the HIT's k-th consumed assignment: shares are tallied
+// per assignment, then merged per worker (a repost may draw one again).
+func agreementQuality(results []QuestionResult, votes [][]aggregate.Vote, voters []string) map[string]float64 {
+	agree, total := make([]int, len(voters)), make([]int, len(voters))
+	for i, qr := range results {
 		if qr.Answer == "" {
 			continue
 		}
-		for _, v := range collected[qr.Question.ID] {
-			total[v.Worker]++
+		for k, v := range votes[i] {
+			total[k]++
 			if v.Answer == qr.Answer {
-				agree[v.Worker]++
+				agree[k]++
 			}
 		}
 	}
-	if len(total) == 0 {
+	type share struct{ agree, total int }
+	byWorker := make(map[string]share, len(voters))
+	for k, w := range voters {
+		if total[k] > 0 {
+			s := byWorker[w]
+			byWorker[w] = share{s.agree + agree[k], s.total + total[k]}
+		}
+	}
+	if len(byWorker) == 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(total))
-	for w, n := range total {
-		out[w] = float64(agree[w]) / float64(n)
+	out := make(map[string]float64, len(byWorker))
+	for w, s := range byWorker {
+		out[w] = float64(s.agree) / float64(s.total)
 	}
 	return out
 }
@@ -685,7 +780,7 @@ type terminator interface {
 	Terminated(online.Strategy) bool
 }
 
-func allTerminated(fs map[string]aggregate.Folder, s online.Strategy) bool {
+func allTerminated(fs []aggregate.Folder, s online.Strategy) bool {
 	for _, f := range fs {
 		t, ok := f.(terminator)
 		if !ok || !t.Terminated(s) {
@@ -693,9 +788,4 @@ func allTerminated(fs map[string]aggregate.Folder, s online.Strategy) bool {
 		}
 	}
 	return true
-}
-
-func sortResults(rs []QuestionResult) {
-	// Deterministic output order by question ID.
-	slices.SortFunc(rs, func(a, b QuestionResult) int { return strings.Compare(a.Question.ID, b.Question.ID) })
 }

@@ -9,7 +9,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cdas/internal/jobs"
@@ -192,79 +191,6 @@ func topWords(freq map[string]map[string]int, topK int) map[string][]string {
 		out[answer] = words
 	}
 	return out
-}
-
-// Accumulator folds outcomes into a running Summary as HITs finish — the
-// streaming counterpart of Summarise for consumers of the engine's
-// concurrent pipeline. It is safe for concurrent use, so several batch
-// goroutines (or a collector draining them) can feed one accumulator.
-type Accumulator struct {
-	mu       sync.Mutex
-	domain   []string
-	exclude  []string
-	outcomes []Outcome
-	texts    map[string]string
-}
-
-// NewAccumulator creates an accumulator over the query's answer domain.
-// exclude lists words (e.g. the query keywords) kept out of reasons.
-func NewAccumulator(domain []string, exclude ...string) *Accumulator {
-	return &Accumulator{
-		domain:  append([]string(nil), domain...),
-		exclude: append([]string(nil), exclude...),
-		texts:   make(map[string]string),
-	}
-}
-
-// AddText registers an item's original text for reason extraction.
-func (a *Accumulator) AddText(itemID, text string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.texts[itemID] = text
-}
-
-// Observe folds finished outcomes into the running summary.
-func (a *Accumulator) Observe(outcomes ...Outcome) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.outcomes = append(a.outcomes, outcomes...)
-}
-
-// Items reports how many outcomes have been observed.
-func (a *Accumulator) Items() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.outcomes)
-}
-
-// Progress reports the completed fraction against an expected total:
-// observed outcomes over total, clamped to [0, 1]. A non-positive
-// total yields 0 — the caller doesn't know the workload size yet.
-func (a *Accumulator) Progress(total int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p := float64(len(a.outcomes)) / float64(total)
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
-// Outcomes returns a copy of the observed outcomes.
-func (a *Accumulator) Outcomes() []Outcome {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Outcome(nil), a.outcomes...)
-}
-
-// Summary renders the current percentages-plus-reasons presentation.
-func (a *Accumulator) Summary() Summary {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return Summarise(a.domain, a.outcomes, a.texts, a.exclude...)
 }
 
 // Summary is a rendered analytics result: the full presentation of

@@ -125,10 +125,7 @@ func (s *Server) UpdateFromSummary(name string, sum exec.Summary, progress float
 // totalItems, when positive, drives the progress fraction; exclude lists
 // words kept out of the reason columns.
 func (s *Server) Follow(name string, domain []string, texts map[string]string, totalItems int, ch <-chan engine.StreamResult, exclude ...string) ([]engine.BatchResult, error) {
-	acc := exec.NewAccumulator(domain, exclude...)
-	for id, text := range texts {
-		acc.AddText(id, text)
-	}
+	fold := exec.NewFold(domain, exclude...)
 	byIndex := make(map[int]engine.BatchResult)
 	var firstErr error
 	for sr := range ch {
@@ -139,20 +136,20 @@ func (s *Server) Follow(name string, domain []string, texts map[string]string, t
 			continue
 		}
 		byIndex[sr.Index] = sr.Batch
-		acc.Observe(exec.OutcomesFromResults(sr.Batch.Results)...)
-		s.UpdateFromSummary(name, acc.Summary(), acc.Progress(totalItems), false)
+		fold.ObserveResults(sr.Batch.Results, texts)
+		s.UpdateFromSummary(name, fold.Summary(), followProgress(fold.Items(), totalItems, false), false)
 	}
 	// The stream is over either way, but a failed or cancelled query must
 	// not present as 100% complete: keep the real progress and surface
 	// the error on the state.
-	sum := acc.Summary()
+	sum := fold.Summary()
 	final := QueryState{
 		Name:        name,
 		Domain:      sum.Domain,
 		Percentages: sum.Percentages,
 		Reasons:     sum.Reasons,
 		Items:       sum.Items,
-		Progress:    followProgress(acc.Items(), totalItems, firstErr == nil),
+		Progress:    followProgress(fold.Items(), totalItems, firstErr == nil),
 		Done:        true,
 		Confidence:  sum.Confidence,
 		Quality:     sum.Quality,

@@ -456,11 +456,34 @@ func (s *Scheduler) resolveFromCache(t *Ticket) bool {
 	return true
 }
 
-// sortResults orders a ticket's results by submitted question ID.
+// sortResults orders a ticket's results by submitted question ID. It
+// sorts indices, then moves each result once along the permutation's
+// cycles: a QuestionResult is a couple of hundred bytes, and sorting the
+// values themselves copies every one of them many times over.
 func sortResults(rs []engine.QuestionResult) {
-	slices.SortFunc(rs, func(a, b engine.QuestionResult) int {
-		return strings.Compare(a.Question.ID, b.Question.ID)
+	order := make([]int, len(rs)) // order[i]: the result that belongs at i
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return strings.Compare(rs[a].Question.ID, rs[b].Question.ID)
 	})
+	for i := range order {
+		if order[i] < 0 || order[i] == i {
+			continue // placed by an earlier cycle, or already in place
+		}
+		moved := rs[i]
+		for j := i; ; {
+			k := order[j]
+			order[j] = -1
+			if k == i {
+				rs[j] = moved
+				break
+			}
+			rs[j] = rs[k]
+			j = k
+		}
+	}
 }
 
 // slot is one unit of crowd work in a generation: a canonical question
@@ -543,6 +566,9 @@ func (s *Scheduler) Flush(ctx context.Context) error {
 			close(t.done)
 			continue
 		}
+		// Sized once: every question resolves into exactly one result,
+		// from the cache here or from the fan-out below.
+		t.res.Results = make([]engine.QuestionResult, 0, len(t.req.Questions))
 		s.plan(groups, t, false, &tally)
 		reserved += est
 		jobReserved[t.req.Job] += est

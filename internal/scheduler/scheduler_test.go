@@ -1044,3 +1044,46 @@ func TestEnqueueCacheMissAllocatesNothing(t *testing.T) {
 		t.Errorf("miss path allocated %v times per probe, want 0", allocs)
 	}
 }
+
+// TestFlushSizesTicketResultsOnce: a ticket answered partly from the
+// cache and partly by its generation's crowd work gets its result slice
+// once, sized to its question count at admission — neither path grows it.
+func TestFlushSizesTicketResultsOnce(t *testing.T) {
+	s := newTestScheduler(t, nil)
+	warm := workload(1, 17, 0)["job00"]
+	warmCache(t, s, warm)
+	qs := respelled("mixed", warm)
+	for i := 0; i < 20; i++ {
+		qs = append(qs, uniqueQuestion("mixed", 100+i))
+	}
+	res := runWorkload(t, s, map[string][]crowd.Question{"mixed": qs}, 1)["mixed"]
+	if res.CacheHits != len(warm) || len(res.Results) != len(qs) {
+		t.Fatalf("%d cache hits and %d results, want %d and %d", res.CacheHits, len(res.Results), len(warm), len(qs))
+	}
+	if cap(res.Results) != len(qs) {
+		t.Errorf("result slice has capacity %d for %d questions: it was grown, not sized once", cap(res.Results), len(qs))
+	}
+	if !slices.IsSortedFunc(res.Results, func(a, b engine.QuestionResult) int { return strings.Compare(a.Question.ID, b.Question.ID) }) {
+		t.Error("results are not sorted by question ID")
+	}
+}
+
+// TestSortResultsMatchesValueSort: the index sort with in-place cycle
+// moves puts every result where sorting the values would.
+func TestSortResultsMatchesValueSort(t *testing.T) {
+	for n := 0; n < 40; n++ {
+		rs := make([]engine.QuestionResult, n)
+		for i := range rs {
+			rs[i].Question.ID = fmt.Sprintf("q%03d", (i*7919)%n) // 7919 is prime: a permutation
+			rs[i].Votes = i
+		}
+		want := slices.Clone(rs)
+		slices.SortFunc(want, func(a, b engine.QuestionResult) int { return strings.Compare(a.Question.ID, b.Question.ID) })
+		sortResults(rs)
+		for i := range rs {
+			if rs[i].Question.ID != want[i].Question.ID || rs[i].Votes != want[i].Votes {
+				t.Fatalf("n=%d: position %d holds %s/%d, want %s/%d", n, i, rs[i].Question.ID, rs[i].Votes, want[i].Question.ID, want[i].Votes)
+			}
+		}
+	}
+}

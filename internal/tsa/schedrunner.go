@@ -100,12 +100,9 @@ func NewScheduledJobRunner(cfg ScheduledRunnerConfig) jobs.Runner {
 		}
 		report(1, res.Cost)
 		if cfg.API != nil {
-			acc := exec.NewAccumulator(job.Query.Domain, job.Query.Keywords...)
-			for id, text := range m.Texts {
-				acc.AddText(id, text)
-			}
-			acc.Observe(exec.OutcomesFromResults(res.Results)...)
-			cfg.API.UpdateFromSummary(job.Name, acc.Summary(), 1, true)
+			fold := exec.NewFold(job.Query.Domain, job.Query.Keywords...)
+			fold.ObserveResults(res.Results, m.Texts)
+			cfg.API.UpdateFromSummary(job.Name, fold.Summary(), 1, true)
 		}
 		return nil
 	}

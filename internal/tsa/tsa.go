@@ -201,17 +201,14 @@ func run(ctx context.Context, eng *engine.Engine, q jobs.Query, stream, golden [
 		return Result{}, err
 	}
 
-	acc := exec.NewAccumulator(q.Domain, q.Keywords...)
-	for id, text := range m.Texts {
-		acc.AddText(id, text)
-	}
+	fold := exec.NewFold(q.Domain, q.Keywords...)
 	for _, br := range batches {
-		acc.Observe(exec.OutcomesFromResults(br.Results)...)
+		fold.ObserveResults(br.Results, m.Texts)
 	}
 	accuracy, _ := Accuracy(batches, m.Truths)
 	return Result{
 		Query:    q,
-		Summary:  acc.Summary(),
+		Summary:  fold.Summary(),
 		Accuracy: accuracy,
 		Tweets:   len(m.Tweets),
 		Batches:  batches,
