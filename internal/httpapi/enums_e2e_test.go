@@ -333,6 +333,7 @@ func TestEnumAPIEndToEnd(t *testing.T) {
 		"zero item value":    func(s *api.JobSubmission) { s.Enum.ItemValue = 0 },
 		"coverage >= 1":      func(s *api.JobSubmission) { s.Enum.TargetCoverage = 1 },
 		"bad window":         func(s *api.JobSubmission) { s.Window = "not a duration" },
+		"blank keywords":     func(s *api.JobSubmission) { s.Keywords = []string{"", ""} },
 	} {
 		sub := enumSubmission("bad")
 		spec := *sub.Enum

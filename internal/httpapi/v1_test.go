@@ -523,6 +523,39 @@ func TestSSEBadLastEventID(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBlankKeywords: a keyword list with no non-empty
+// keyword can match nothing, so submit refuses it with a typed 400
+// before anything is committed — not after a claim, as a failed job.
+func TestSubmitRejectsBlankKeywords(t *testing.T) {
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	disp, err := jobs.NewDispatcher(svc, func(context.Context, jobs.Job, func(float64, float64)) error { return nil }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer()
+	srv.SetJobs(disp)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	h := &e2eHarness{t: t, ts: ts, client: ts.Client()}
+
+	sub := submission("blank")
+	sub.Keywords = []string{""}
+	resp, body := h.do(http.MethodPost, "/v1/jobs", sub)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /v1/jobs with keywords [\"\"] = %d (%s), want 400", resp.StatusCode, body)
+	}
+	if e := decodeEnvelope(t, strings.NewReader(string(body))); e.Code != api.CodeInvalidArgument {
+		t.Errorf("envelope = %+v, want code %s", e, api.CodeInvalidArgument)
+	}
+	if st, ok := svc.Status("blank"); ok {
+		t.Errorf("the refused job was committed: %+v", st)
+	}
+}
+
 // TestSanitizeRequestID: junk IDs are dropped, clean ones kept.
 func TestSanitizeRequestID(t *testing.T) {
 	if got := sanitizeRequestID("ok-id_1"); got != "ok-id_1" {

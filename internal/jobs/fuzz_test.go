@@ -10,10 +10,14 @@ import (
 )
 
 // refValidate is an independent naive re-statement of Definition 1's
-// well-formedness: at least one keyword, C in (0,1), >= 2 distinct
-// domain answers, positive window.
+// well-formedness: at least one non-empty keyword, C in (0,1), >= 2
+// distinct domain answers, positive window.
 func refValidate(q Query) bool {
-	if len(q.Keywords) == 0 {
+	nonEmpty := false
+	for _, k := range q.Keywords {
+		nonEmpty = nonEmpty || len(k) > 0
+	}
+	if !nonEmpty {
 		return false
 	}
 	if math.IsNaN(q.RequiredAccuracy) || q.RequiredAccuracy <= 0 || q.RequiredAccuracy >= 1 {
@@ -44,6 +48,8 @@ func splitList(joined string) []string {
 func FuzzQueryValidate(f *testing.F) {
 	f.Add("iPhone4S|iPhone 4S", 0.95, "Best Ever|Good|Not Satisfied", int64(10*24*time.Hour))
 	f.Add("", 0.5, "a|b", int64(time.Hour))
+	f.Add("|", 0.5, "a|b", int64(time.Hour))
+	f.Add("|k", 0.5, "a|b", int64(time.Hour))
 	f.Add("k", 1.5, "a|b", int64(time.Hour))
 	f.Add("k", 0.9, "dup|dup", int64(time.Hour))
 	f.Add("k", 0.9, "only", int64(time.Hour))

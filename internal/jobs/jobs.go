@@ -28,8 +28,8 @@ type Query struct {
 
 // Validate reports whether the query is well-formed.
 func (q Query) Validate() error {
-	if len(q.Keywords) == 0 {
-		return errors.New("jobs: query needs at least one keyword")
+	if err := checkKeywords(q.Keywords); err != nil {
+		return err
 	}
 	if q.RequiredAccuracy <= 0 || q.RequiredAccuracy >= 1 || math.IsNaN(q.RequiredAccuracy) {
 		return fmt.Errorf("jobs: required accuracy must be in (0,1), got %v", q.RequiredAccuracy)
@@ -48,6 +48,17 @@ func (q Query) Validate() error {
 		return fmt.Errorf("jobs: window must be positive, got %v", q.Window)
 	}
 	return nil
+}
+
+// checkKeywords requires a keyword that can match: the filter drops
+// empty keywords, so a list of only empty ones matches no item.
+func checkKeywords(keywords []string) error {
+	for _, k := range keywords {
+		if k != "" {
+			return nil
+		}
+	}
+	return errors.New("jobs: query needs at least one non-empty keyword")
 }
 
 // Matches reports whether an item with the given text and timestamp falls
@@ -389,8 +400,8 @@ func (m *Manager) Register(job Job) (Plan, error) {
 	if job.Kind == KindEnumeration {
 		// Open-ended enumeration: keywords name the set to collect, but
 		// there is no answer domain, accuracy bound or window to check.
-		if len(job.Query.Keywords) == 0 {
-			return Plan{}, errors.New("jobs: query needs at least one keyword")
+		if err := checkKeywords(job.Query.Keywords); err != nil {
+			return Plan{}, err
 		}
 	} else if err := job.Query.Validate(); err != nil {
 		return Plan{}, err

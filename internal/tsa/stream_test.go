@@ -11,6 +11,7 @@ import (
 
 	"cdas/internal/jobs"
 	"cdas/internal/textgen"
+	"cdas/internal/textutil"
 )
 
 // refFilter is the executor's filter as it stood before Stream: the
@@ -101,6 +102,9 @@ func FuzzStreamMatch(f *testing.F) {
 	f.Add("non\u00a0breaking space\nnon breaking space", "non\u00a0breaking|N B", int64(0), int64(10))
 	f.Add("bad \xff utf8\nBAD \xff UTF8", "\xff|utf8", int64(0), int64(1))
 	f.Add("late\nlater\nlatest", "late", int64(2), int64(0))
+	f.Add("Thor rocks\nth\nthe THOR hammer\nnothing", "Thor hammer|th", int64(0), int64(60)) // a short keyword: the query scans
+	f.Add("Thor rocks\nGreen Lantern", "zqx|Thor|Lanternz", int64(0), int64(60))             // trigrams no tweet holds
+	f.Add("Green Lantern\ngreen\nlantern green\nred", "green|Green Lantern|een l|lantern", int64(0), int64(60))
 
 	f.Fuzz(func(t *testing.T, texts, keywords string, startMin, windowMin int64) {
 		tweets := tweetsFrom(strings.Split(texts, "\n"))
@@ -119,9 +123,13 @@ func TestStreamMatchesReference(t *testing.T) {
 	pieces := []string{
 		"Thor", "THOR", "thor", "Green Lantern", "green", " ", "  ", "\t", "!", "\u212a", "k", "K",
 		"\u0130", "i", "I", "\u00a0", "é", "É", "ß", "ǅ", "\u023a", "\xff", "panda", "Kung Fu Panda 2",
+		"Th", "en", "Lantern",
 	}
+	// Keywords also draw pieces no tweet holds, so some of their
+	// trigrams are absent from the index.
+	keywordPieces := append([]string{"zqx", "Lanternz", "qq"}, pieces...)
 	rng := rand.New(rand.NewSource(1))
-	draw := func(n int) string {
+	draw := func(pieces []string, n int) string {
 		var b strings.Builder
 		for i := rng.Intn(n + 1); i > 0; i-- {
 			b.WriteString(pieces[rng.Intn(len(pieces))])
@@ -131,17 +139,21 @@ func TestStreamMatchesReference(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		texts := make([]string, rng.Intn(40))
 		for i := range texts {
-			texts[i] = draw(8)
+			texts[i] = draw(pieces, 8)
 		}
 		tweets := tweetsFrom(texts)
 		stream := NewStream(tweets)
 		for query := 0; query < 20; query++ {
 			keywords := make([]string, rng.Intn(4))
 			for i := range keywords {
-				keywords[i] = draw(2)
+				keywords[i] = draw(keywordPieces, 2)
 			}
-			if len(keywords) > 1 && rng.Intn(2) == 0 {
-				keywords[len(keywords)-1] = keywords[0]
+			switch n := len(keywords); {
+			case n > 1 && rng.Intn(3) == 0:
+				keywords[n-1] = keywords[0]
+			case n > 1 && rng.Intn(2) == 0:
+				// Overlapping keywords: their candidates repeat in the union.
+				keywords[n-1] = keywords[0] + draw(pieces, 1)
 			}
 			q := jobs.Query{
 				Keywords: keywords,
@@ -153,23 +165,45 @@ func TestStreamMatchesReference(t *testing.T) {
 	}
 }
 
+// paddedStream is 16 tweets about Thor followed by padding tweets about
+// nothing, prepared and checked to match the 16.
+func paddedStream(t *testing.T, padding int) *Stream {
+	t.Helper()
+	tweets := testStream(t, 1, []string{"Thor"}, 16)
+	for i := 0; i < padding; i++ {
+		tweets = append(tweets, textgen.Tweet{ID: fmt.Sprintf("pad%d", i), Text: "Nothing About The Movie", At: queryStart})
+	}
+	s := NewStream(tweets)
+	if got := len(s.Match(thorQuery).Tweets); got != 16 {
+		t.Fatalf("matched %d tweets of a stream padded by %d, want 16", got, padding)
+	}
+	return s
+}
+
+var thorQuery = Query("Thor", 0.9, queryStart, 24*time.Hour)
+
 // A job pays for its matches, not for the stream: the per-job filter
 // must not allocate in proportion to the tweets it rejects.
 func TestStreamMatchAllocationsIndependentOfStreamLength(t *testing.T) {
-	q := Query("Thor", 0.9, queryStart, 24*time.Hour)
 	allocs := func(padding int) float64 {
-		tweets := testStream(t, 1, []string{"Thor"}, 16)
-		for i := 0; i < padding; i++ {
-			tweets = append(tweets, textgen.Tweet{ID: fmt.Sprintf("pad%d", i), Text: "Nothing About The Movie", At: queryStart})
-		}
-		s := NewStream(tweets)
-		if got := len(s.Match(q).Tweets); got != 16 {
-			t.Fatalf("matched %d tweets of a stream padded by %d, want 16", got, padding)
-		}
-		return testing.AllocsPerRun(20, func() { s.Match(q) })
+		s := paddedStream(t, padding)
+		return testing.AllocsPerRun(20, func() { s.Match(thorQuery) })
 	}
 	if small, large := allocs(0), allocs(8192); small != large {
 		t.Errorf("Stream.Match allocates %v times over 16 tweets and %v times over 16+8192: the filter pays per stream tweet", small, large)
+	}
+}
+
+// The filter verifies the tweets the trigram index names, not the
+// whole stream; a keyword shorter than a trigram makes it scan.
+func TestStreamFilterVerifiesOnlyCandidates(t *testing.T) {
+	s := paddedStream(t, 8192)
+	cands, ok := s.candidates(textutil.FoldKeywords(thorQuery.Keywords))
+	if !ok || len(cands) > 16 {
+		t.Errorf("a query for Thor verifies %d of %d tweets (indexed: %v), want at most 16", len(cands), len(s.tweets), ok)
+	}
+	if _, ok := s.candidates(textutil.FoldKeywords([]string{"Thor", "th"})); ok {
+		t.Error("a query with a 2-byte keyword was answered from the trigram index, want a scan")
 	}
 }
 
@@ -196,9 +230,10 @@ func TestStreamConcurrentFirstUse(t *testing.T) {
 }
 
 // BenchmarkStreamMatch is one job's filter over the benchmark's
-// catalogue size: through a Stream prepared once (what the runners do)
-// and through the one-shot tsa.Match, which folds the whole stream for
-// its single query.
+// catalogue size: through a Stream prepared once (what the runners do),
+// through the first use of a fresh Stream, which folds and indexes the
+// whole stream, and through the one-shot tsa.Match, which folds and
+// tests each tweet for its single query.
 func BenchmarkStreamMatch(b *testing.B) {
 	tweets, err := textgen.Generate(textgen.Config{Seed: 1, Movies: textgen.Movies200()[:64], TweetsPerMovie: 128})
 	if err != nil {
@@ -213,6 +248,12 @@ func BenchmarkStreamMatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sink = s.Match(q)
+		}
+	})
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = NewStream(tweets).Match(q)
 		}
 	})
 	b.Run("one-shot", func(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"cdas/internal/exec"
 	"cdas/internal/jobs"
 	"cdas/internal/textgen"
+	"cdas/internal/textutil"
 )
 
 // Query builds the TSA query of Definition 1 for one movie: keywords
@@ -33,10 +34,18 @@ func Query(movie string, requiredAccuracy float64, start time.Time, window time.
 }
 
 // FilterTweets applies the query's keyword and window filters to the
-// stream, once. A caller filtering the same tweets for many queries
-// prepares a Stream instead.
+// stream, once, folding and testing each tweet in turn: for a single
+// query an index would cost more than the scan it saves. A caller
+// filtering the same tweets for many queries prepares a Stream instead.
 func FilterTweets(tweets []textgen.Tweet, q jobs.Query) []textgen.Tweet {
-	return NewStream(tweets).Filter(q)
+	keywords := textutil.FoldKeywords(q.Keywords)
+	var out []textgen.Tweet
+	for _, t := range tweets {
+		if q.InWindow(t.At) && keywords.In(textutil.Fold(t.Text)) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // Questions converts tweets to crowd questions over the default TSA
@@ -117,7 +126,7 @@ type Matched struct {
 // Match filters the stream against the query and indexes the matches,
 // once; see Stream.Match for the prepared form.
 func Match(q jobs.Query, stream []textgen.Tweet) Matched {
-	return NewStream(stream).Match(q)
+	return matched(FilterTweets(stream, q))
 }
 
 // Accuracy scores batches against ground truth: the fraction of answered
