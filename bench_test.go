@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per experiment; see DESIGN.md's index), plus
-// micro-benchmarks of the core models and ablation benches for the design
-// choices DESIGN.md calls out. Accuracy-style results are attached as
-// custom metrics so `go test -bench` output doubles as a results table.
+// evaluation (one benchmark per internal/experiments generator), plus
+// micro-benchmarks of the core models and ablation benches for the
+// models' design choices. Accuracy-style results are attached as custom
+// metrics so `go test -bench` output doubles as a results table.
 package cdas_test
 
 import (
@@ -179,7 +179,7 @@ func BenchmarkSVMPredict(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) ---
+// --- Ablation benches (the models' design choices) ---
 
 // BenchmarkAblationMEstimate compares verification accuracy on a
 // 21-answer rating domain when m is taken as |R| = 21 versus Theorem 5's

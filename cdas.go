@@ -47,7 +47,6 @@ import (
 	"cdas/internal/metrics"
 	"cdas/internal/privacy"
 	"cdas/internal/profile"
-	"cdas/internal/stream"
 	"cdas/internal/tsa"
 )
 
@@ -257,24 +256,6 @@ type (
 func EstimateConsensus(votes []ConsensusVote, m int, opts ConsensusOptions) (ConsensusResult, error) {
 	return dawidskene.Estimate(votes, m, opts)
 }
-
-// Streaming: continuous query processing (Figure 4's live view).
-type (
-	StreamConfig    = stream.Config
-	StreamProcessor = stream.Processor
-	StreamSink      = stream.Sink
-	StreamConvert   = stream.Convert
-)
-
-// NewStreamProcessor builds a single-query streaming pipeline: items are
-// filtered by the query, batched, crowdsourced, and summarised after
-// every batch.
-func NewStreamProcessor(cfg StreamConfig) (*StreamProcessor, error) {
-	return stream.NewProcessor(cfg)
-}
-
-// StreamItem is one element of an input stream.
-type StreamItem = exec.Item
 
 // Result service: live query summaries over HTTP (Figure 4).
 type (

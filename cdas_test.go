@@ -307,8 +307,8 @@ func TestEngineDeterministicUnderSeed(t *testing.T) {
 
 // TestServiceFacadesPublicAPI smokes the facade constructors the v1
 // stack builds on: the durable job service + dispatcher, the result
-// server (the SSE-capable dashboard), the streaming processor, the
-// remote-platform pair and the crowd-join helpers.
+// server (the SSE-capable dashboard), the remote-platform pair and the
+// crowd-join helpers.
 func TestServiceFacadesPublicAPI(t *testing.T) {
 	// Job service + dispatcher (in-memory).
 	svc, err := cdas.OpenJobService(cdas.JobServiceConfig{})
@@ -352,21 +352,6 @@ func TestServiceFacadesPublicAPI(t *testing.T) {
 	if st, ok := rs.Get("facade"); !ok || st.Progress != 0.5 {
 		t.Errorf("result server state = %+v (ok=%v)", st, ok)
 	}
-
-	// Streaming processor over a real engine.
-	_, eng := simulated(t, 99)
-	proc, err := cdas.NewStreamProcessor(cdas.StreamConfig{
-		Name:   "facade",
-		Query:  q,
-		Engine: eng,
-		Convert: func(item cdas.StreamItem) cdas.CrowdQuestion {
-			return cdas.CrowdQuestion{ID: item.ID, Text: item.Text, Domain: q.Domain}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = proc
 
 	// Remote platform pair: the REST server over a simulated crowd and
 	// a client constructed for its protocol.

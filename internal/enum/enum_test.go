@@ -267,7 +267,8 @@ func TestRunnerRejectsWrongKind(t *testing.T) {
 }
 
 // Two identical runs produce identical result sets, spend and
-// estimates — the bit-reproducibility loadgen's results hash relies on.
+// estimates — the bit-reproducibility TestPinnedResults' enum hash in
+// internal/loadgen relies on.
 func TestRunnerDeterministic(t *testing.T) {
 	runOnce := func() (*enumCollector, float64) {
 		sched := testScheduler(t, 0, nil, nil)

@@ -52,8 +52,8 @@ const (
 // emitted in one of several spelling variants (case, extra whitespace)
 // so canonical dedup has real work to do. Every batch is derived from
 // an independent randx split of the seed, so batch i is reproducible in
-// isolation — the property kill -9 resume and bit-reproducible
-// loadgen/bench runs rely on.
+// isolation — the property kill -9 resume and the pinned enum outcome
+// of internal/loadgen's TestPinnedResults rely on.
 type SimSource struct {
 	universe []string
 	weights  []float64

@@ -2,9 +2,7 @@
 // evaluation (Section 5) on the simulated substrate. Each experiment is a
 // deterministic function of a seed, returns a typed result, and can render
 // itself as an aligned text table whose rows mirror what the paper plots.
-//
-// The per-experiment index in DESIGN.md maps each figure to its generator
-// here, and EXPERIMENTS.md records paper-vs-measured shapes.
+// cmd/cdas-experiments renders them from the command line.
 package experiments
 
 import (

@@ -10,9 +10,9 @@ import (
 )
 
 // benchStoreJobs sizes the populated store behind the boot and listing
-// benchmarks (see BENCH_jobstore.json). 100k records is the "busy
-// server restarted after a long run" scenario the recovery bound is
-// about.
+// benchmarks. 100k records is the "busy server restarted after a long
+// run" scenario the recovery bound is about; the end-to-end boot figure
+// is restart_ms in benchmark/.
 const benchStoreJobs = 100_000
 
 // benchStatus builds the i-th fixture record. The states cycle through

@@ -1,25 +1,14 @@
-// Package loadgen is the end-to-end load-generation harness: it boots a
-// complete in-process CDAS server (or points at a remote one), drives
-// it purely through the cdas/client SDK with a deterministic, seedable
-// multi-tenant workload, and reports submit/end-to-end latency
-// percentiles, throughput, crowd spend and dedup savings in a
-// machine-readable form (the BENCH_e2e.json schema) plus a human table.
+// Package loadgen is the closed-loop determinism oracle, kept as test
+// code only: it boots the complete CDAS stack in-process, drives it
+// purely through the cdas/client SDK with a seeded multi-tenant
+// workload, and fingerprints what the stack settled.
 //
-// Two driving modes:
-//
-//   - Closed-loop (ArrivalMean == 0, in-process only): every tenant of a
-//     round is submitted back to back, the harness flushes the scheduler
-//     once the whole wave is enqueued, and the next round starts when
-//     the previous one settled. Generation composition is then a pure
-//     function of the profile — a run's aggregate spend, per-job costs
-//     and verdict distribution are bit-equal across repeats and across
-//     -dispatchers settings, which is what makes the numbers gateable
-//     in CI.
-//   - Timed (ArrivalMean > 0): tenants arrive on a seeded exponential
-//     arrival process against a periodically flushing server — the
-//     realistic-latency mode. Which jobs share a generation then depends
-//     on real time, so only the workload (not the spend attribution) is
-//     reproducible.
+// Every tenant of a round is submitted back to back, the harness
+// flushes the scheduler once the whole wave is enqueued, and the next
+// round starts when the previous one settled. Generation composition
+// is then a pure function of the profile, so a run's spend, job
+// outcomes and results hash are bit-equal across repeats and across
+// dispatcher counts; the tests pin them.
 package loadgen
 
 import (
@@ -37,101 +26,89 @@ const BlockSize = 8
 // Profile is one workload shape. The zero value is not runnable;
 // construct from Named or fill every field and Validate.
 type Profile struct {
-	// Name labels the profile in reports and baselines.
-	Name string `json:"name"`
+	// Name labels the profile in test output.
+	Name string
 	// Seed drives every random choice in the run: the crowd population,
-	// the tweet stream, arrival times and watcher draws.
-	Seed uint64 `json:"seed"`
+	// the tweet stream and the source seeds.
+	Seed uint64
 	// Tenants is the number of concurrent jobs per round.
-	Tenants int `json:"tenants"`
+	Tenants int
 	// QuestionsPerTenant is each tenant's question-set size; it must be
 	// a multiple of BlockSize.
-	QuestionsPerTenant int `json:"questions_per_tenant"`
+	QuestionsPerTenant int
 	// Overlap is the fraction of each tenant's questions drawn from its
 	// domain group's shared pool (identical across the group's tenants);
 	// the rest are private. Rounded to block granularity.
-	Overlap float64 `json:"overlap"`
+	Overlap float64
 	// Domains spreads tenants round-robin over this many distinct
 	// answer-domain variants; questions only coalesce within a variant,
 	// and each variant runs its own engine, so Domains > 1 exercises the
 	// scheduler's concurrent domain groups.
-	Domains int `json:"domains"`
+	Domains int
 	// Rounds repeats the workload: round r re-asks round r-1's questions
 	// under fresh job names, so rounds beyond the first measure the
 	// verified-answer cache.
-	Rounds int `json:"rounds"`
+	Rounds int
 	// PriorityLevels cycles tenants through 0..PriorityLevels-1 budget
 	// admission priorities (0 = all default priority).
-	PriorityLevels int `json:"priority_levels,omitempty"`
+	PriorityLevels int
 	// TenantBudget caps each job's crowd spend (0 = unlimited); jobs the
 	// budget cannot cover are parked, and the harness counts them.
-	TenantBudget float64 `json:"tenant_budget,omitempty"`
+	TenantBudget float64
 	// GlobalBudget caps the service-wide spend (0 = unlimited).
-	GlobalBudget float64 `json:"global_budget,omitempty"`
+	GlobalBudget float64
 	// WatcherFraction attaches an SSE watcher to this fraction of
 	// tenants (by index), consuming the live event stream end to end.
-	WatcherFraction float64 `json:"watcher_fraction"`
-	// ArrivalMean is the mean inter-arrival gap of the timed mode; 0
-	// selects the closed-loop deterministic mode.
-	ArrivalMean time.Duration `json:"arrival_mean,omitempty"`
-	// Dispatchers sizes the server's dispatcher pool. In closed-loop
-	// mode the effective pool is max(Dispatchers, Tenants) so a whole
-	// wave can block in one generation — the flag then changes only
-	// goroutine scheduling, never batch composition or results.
-	Dispatchers int `json:"dispatchers"`
+	WatcherFraction float64
+	// Dispatchers sizes the server's dispatcher pool. The effective
+	// pool is max(Dispatchers, Tenants) so a whole wave can block in one
+	// generation: the count then changes only goroutine scheduling,
+	// never batch composition or results.
+	Dispatchers int
 	// RequiredAccuracy is every job's C (and the service verification
 	// level).
-	RequiredAccuracy float64 `json:"required_accuracy"`
+	RequiredAccuracy float64
 	// HITSize and Inflight configure the engine template.
-	HITSize  int `json:"hit_size"`
-	Inflight int `json:"inflight"`
-	// DisableDedup turns cross-query coalescing and the answer cache
-	// off — the naive baseline.
-	DisableDedup bool `json:"disable_dedup,omitempty"`
+	HITSize  int
+	Inflight int
 	// Aggregator names the answer-aggregation method every submitted
 	// job runs with (empty = the server default, "cdas").
-	Aggregator string `json:"aggregator,omitempty"`
+	Aggregator string
 	// Stream switches the workload to standing queries: each tenant
 	// submits one continuous query over the server's built-in
 	// deterministic source (open-loop seeded exponential event-time
-	// arrivals) instead of a batch TSA job. In closed-loop mode the
-	// window coordinator synchronises every stream's window closes into
-	// shared scheduler generations, so the windowed results hash is
-	// bit-reproducible across repeats and -dispatchers settings.
-	Stream bool `json:"stream,omitempty"`
+	// arrivals) instead of a batch TSA job. The window coordinator
+	// synchronises every stream's window closes into shared scheduler
+	// generations, so the windowed results hash is bit-reproducible
+	// across repeats and dispatcher counts.
+	Stream bool
 	// StreamItems is each stream's source length (0 = 48).
-	StreamItems int `json:"stream_items,omitempty"`
+	StreamItems int
 	// StreamRate is the source's mean event-time arrival rate in items
 	// per second (0 = 0.5).
-	StreamRate float64 `json:"stream_rate,omitempty"`
+	StreamRate float64
 	// StreamWindow is the tumbling window width (0 = 1 minute of event
 	// time).
-	StreamWindow time.Duration `json:"stream_window,omitempty"`
+	StreamWindow time.Duration
 	// StreamCapacity caps crowd questions per window (0 = 5), small
 	// enough that the degrade ladder engages under the default rate.
-	StreamCapacity int `json:"stream_capacity,omitempty"`
+	StreamCapacity int
 	// Enum switches the workload to enumeration queries: each tenant
 	// submits one open-ended "list all X" job against the built-in
 	// deterministic simulated crowd. The enumeration runner buys HIT
 	// batches on its own (no scheduler generations), and every batch is
-	// a pure function of the per-tenant source seed — so closed-loop
-	// enum runs reproduce the same result sets, completeness estimates
-	// and spend bit for bit across repeats and -dispatchers settings.
-	Enum bool `json:"enum,omitempty"`
+	// a pure function of the per-tenant source seed — so enum runs
+	// reproduce the same result sets, completeness estimates and spend
+	// bit for bit across repeats and dispatcher counts.
+	Enum bool
 	// EnumItemValue is each job's worth of one newly discovered member,
 	// in HIT-price currency (0 = 0.05). Marginal-value admission stops
 	// buying batches once E[new items per batch] x EnumItemValue falls
 	// below the HIT price.
-	EnumItemValue float64 `json:"enum_item_value,omitempty"`
+	EnumItemValue float64
 	// EnumUniverse is each hidden set's true size (0 = 30) — the figure
 	// the Chao92 completeness estimate should converge toward.
-	EnumUniverse int `json:"enum_universe,omitempty"`
-	// EnumPopularity is the source's Zipf skew exponent (0 = the source
-	// default, 1.0).
-	EnumPopularity float64 `json:"enum_popularity,omitempty"`
-	// EnumMaxBatches caps each job's HIT batches (0 = unlimited, so the
-	// marginal-value rule is the only open-ended stop).
-	EnumMaxBatches int `json:"enum_max_batches,omitempty"`
+	EnumUniverse int
 }
 
 // Validate normalises and checks the profile, returning the effective
@@ -169,9 +146,6 @@ func (p Profile) Validate() (Profile, error) {
 	}
 	if p.WatcherFraction < 0 || p.WatcherFraction > 1 {
 		return p, fmt.Errorf("loadgen: watcher fraction %v outside [0,1]", p.WatcherFraction)
-	}
-	if p.ArrivalMean < 0 {
-		return p, fmt.Errorf("loadgen: arrival mean must be >= 0, got %v", p.ArrivalMean)
 	}
 	if p.Dispatchers < 1 {
 		p.Dispatchers = 2
@@ -236,12 +210,6 @@ func (p Profile) Validate() (Profile, error) {
 		if p.EnumUniverse < 1 {
 			return p, fmt.Errorf("loadgen: enum universe must be >= 1, got %d", p.EnumUniverse)
 		}
-		if p.EnumPopularity < 0 {
-			return p, fmt.Errorf("loadgen: enum popularity must be >= 0, got %v", p.EnumPopularity)
-		}
-		if p.EnumMaxBatches < 0 {
-			return p, fmt.Errorf("loadgen: enum max batches must be >= 0, got %d", p.EnumMaxBatches)
-		}
 		// Enumeration marks are per job name; the cache rounds of the
 		// batch workload have no enumeration analogue either.
 		p.Rounds = 1
@@ -249,17 +217,13 @@ func (p Profile) Validate() (Profile, error) {
 	return p, nil
 }
 
-// Deterministic reports whether the profile runs in the closed-loop
-// mode whose aggregate results are reproducible bit for bit.
-func (p Profile) Deterministic() bool { return p.ArrivalMean == 0 }
-
 // Named returns a predefined profile by name. Callers may override
 // fields before Validate.
 func Named(name string) (Profile, bool) {
 	switch name {
 	case "smoke":
-		// Small enough for CI's bench gate: 4 tenants over 2 domain
-		// variants, one cache round, watchers on half the tenants.
+		// 4 tenants over 2 domain variants, one cache round, watchers on
+		// half the tenants.
 		return Profile{
 			Name:               "smoke",
 			Seed:               1,
@@ -274,43 +238,11 @@ func Named(name string) (Profile, bool) {
 			HITSize:            20,
 			Inflight:           2,
 		}, true
-	case "contention":
-		// The headline profile: 64 tenants hammering 4 domain groups.
-		return Profile{
-			Name:               "contention",
-			Seed:               1,
-			Tenants:            64,
-			QuestionsPerTenant: 16,
-			Overlap:            0.5,
-			Domains:            4,
-			Rounds:             1,
-			WatcherFraction:    0.25,
-			Dispatchers:        8,
-			RequiredAccuracy:   0.85,
-			HITSize:            20,
-			Inflight:           4,
-		}, true
-	case "dedup":
-		// High-overlap multi-round shape for cache/dedup accounting.
-		return Profile{
-			Name:               "dedup",
-			Seed:               1,
-			Tenants:            16,
-			QuestionsPerTenant: 24,
-			Overlap:            0.75,
-			Domains:            2,
-			Rounds:             3,
-			WatcherFraction:    0.25,
-			Dispatchers:        8,
-			RequiredAccuracy:   0.85,
-			HITSize:            20,
-			Inflight:           4,
-		}, true
 	case "stream":
 		// Standing queries: 4 continuous queries over 2 domain groups,
 		// arrivals fast enough for the tiny window capacity that the
 		// degrade ladder (shed, degraded verdicts, accounted drops)
-		// engages. Closed-loop, so the windowed results hash gates.
+		// engages.
 		return Profile{
 			Name:               "stream",
 			Seed:               1,
@@ -332,8 +264,7 @@ func Named(name string) (Profile, bool) {
 	case "enum":
 		// Enumeration queries: 4 open-ended jobs over independent hidden
 		// sets, budgets generous enough that the marginal-value rule (not
-		// the budget) is what stops the spend. Closed-loop, so the
-		// enumeration results hash gates.
+		// the budget) is what stops the spend.
 		return Profile{
 			Name:               "enum",
 			Seed:               1,
@@ -372,9 +303,4 @@ func Named(name string) (Profile, bool) {
 		}, true
 	}
 	return Profile{}, false
-}
-
-// ProfileNames lists the predefined profiles.
-func ProfileNames() []string {
-	return []string{"smoke", "contention", "dedup", "budget", "stream", "enum"}
 }

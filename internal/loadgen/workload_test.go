@@ -1,7 +1,7 @@
 // Deterministic workload construction: every tenant's question set,
-// domain variant, priority, budget, watcher flag and arrival offset is
-// a pure function of the profile — the harness can replay a workload
-// bit for bit from its seed.
+// domain variant, priority, budget and watcher flag is a pure function
+// of the profile — the harness can replay a workload bit for bit from
+// its seed.
 package loadgen
 
 import (
@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cdas/api"
-	"cdas/internal/randx"
 	"cdas/internal/textgen"
 )
 
@@ -31,9 +30,6 @@ type Tenant struct {
 	Budget   float64
 	// Watcher marks tenants that attach an SSE watcher to their jobs.
 	Watcher bool
-	// ArrivalOffset is the tenant's submit time within its round in the
-	// timed mode (always 0 in closed-loop mode).
-	ArrivalOffset time.Duration
 }
 
 // Workload is a fully materialised profile: the tenant roster plus the
@@ -41,9 +37,9 @@ type Tenant struct {
 type Workload struct {
 	Profile Profile
 	Tenants []Tenant
-	// SharedBlocks/PrivateBlocks report the per-tenant block split the
-	// overlap rounded to.
-	SharedBlocks, PrivateBlocks int
+	// SharedBlocks is the per-tenant count of shared blocks the overlap
+	// rounded to.
+	SharedBlocks int
 	// Stream is the synthetic tweet stream; every tenant's keyword
 	// filter matches exactly QuestionsPerTenant of its tweets.
 	Stream []textgen.Tweet
@@ -87,11 +83,10 @@ func BuildWorkload(p Profile) (*Workload, error) {
 	private := blocks - shared
 
 	w := &Workload{
-		Profile:       p,
-		SharedBlocks:  shared,
-		PrivateBlocks: private,
-		Start:         time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC),
-		Window:        24 * time.Hour,
+		Profile:      p,
+		SharedBlocks: shared,
+		Start:        time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC),
+		Window:       24 * time.Hour,
 	}
 
 	// Movie roster: each domain variant owns one shared-block pool every
@@ -108,9 +103,7 @@ func BuildWorkload(p Profile) (*Workload, error) {
 		}
 	}
 
-	arrivals := randx.New(p.Seed).Split("loadgen/arrivals")
 	watchers := int(math.Round(p.WatcherFraction * float64(p.Tenants)))
-	offset := time.Duration(0)
 	for i := 0; i < p.Tenants; i++ {
 		v := i % p.Domains
 		t := Tenant{
@@ -131,13 +124,6 @@ func BuildWorkload(p Profile) (*Workload, error) {
 		}
 		for b := 0; b < private; b++ {
 			t.Keywords = append(t.Keywords, privateMovie(i, b))
-		}
-		if p.ArrivalMean > 0 {
-			// Poisson arrivals: exponential inter-arrival gaps with the
-			// configured mean, accumulated so offsets ascend by index.
-			gap := arrivals.Exp(1 / p.ArrivalMean.Seconds())
-			offset += time.Duration(gap * float64(time.Second))
-			t.ArrivalOffset = offset
 		}
 		w.Tenants = append(w.Tenants, t)
 	}
@@ -230,9 +216,7 @@ func (w *Workload) EnumSubmission(t Tenant) api.JobSubmission {
 		Budget:   t.Budget,
 		Enum: &api.EnumSpec{
 			ItemValue:  p.EnumItemValue,
-			MaxBatches: p.EnumMaxBatches,
 			Universe:   p.EnumUniverse,
-			Popularity: p.EnumPopularity,
 			SourceSeed: p.Seed + 200 + uint64(t.Index),
 		},
 	}
@@ -240,9 +224,3 @@ func (w *Workload) EnumSubmission(t Tenant) api.JobSubmission {
 
 // TotalJobs is the number of jobs the workload submits across rounds.
 func (w *Workload) TotalJobs() int { return w.Profile.Tenants * w.Profile.Rounds }
-
-// TotalQuestions is the number of questions submitted across rounds
-// (before any dedup).
-func (w *Workload) TotalQuestions() int {
-	return w.Profile.Tenants * w.Profile.QuestionsPerTenant * w.Profile.Rounds
-}

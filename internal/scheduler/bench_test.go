@@ -62,8 +62,8 @@ func benchRun(b *testing.B, s *Scheduler, w map[string][]crowd.Question) float64
 
 // BenchmarkSchedulerDedup measures one full shared generation at 1, 8
 // and 64 concurrent jobs across the 30–70% overlap band, and reports
-// the crowd-spend saving against the same workload with dedup off (the
-// perf trajectory's headline metric; see BENCH_scheduler.json).
+// the crowd-spend saving against the same workload with dedup off
+// (benchmark/ carries the end-to-end figures).
 func BenchmarkSchedulerDedup(b *testing.B) {
 	const perJob = 16
 	for _, nJobs := range []int{1, 8, 64} {

@@ -18,8 +18,8 @@ import (
 // BenchmarkStanding measures the continuous-query pipeline end to end:
 // a full stream offered through a Processor against the real scheduler
 // and simulated crowd. It reports stream throughput (items/s) and the
-// window-close tail (window_p99_ms) — the BENCH_stream.json metrics
-// the CI bench gate pins.
+// window-close tail (window_p99_ms); benchmark/ carries the end-to-end
+// figures.
 func BenchmarkStanding(b *testing.B) {
 	const nItems = 240
 	items := make([]exec.Item, nItems)
