@@ -23,7 +23,6 @@ import (
 
 	"cdas/internal/crowd"
 	"cdas/internal/engine"
-	"cdas/internal/exec"
 	"cdas/internal/jobs"
 	"cdas/internal/scheduler"
 	"cdas/internal/textgen"
@@ -115,8 +114,9 @@ func run(seed uint64, dispatchers int, budget float64) error {
 			defer func() { <-sem }()
 			m := tweets.Match(query(t))
 			ticket, err := sched.Enqueue(scheduler.Request{
-				Job:       t.name,
-				Questions: tsa.Questions(m.Tweets),
+				Job:        t.name,
+				Questions:  m.Questions(textgen.Labels),
+				TextHashes: m.TextHashes(),
 			})
 			if err != nil {
 				log.Fatalf("%s: %v", t.name, err)
@@ -133,8 +133,8 @@ func run(seed uint64, dispatchers int, budget float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", t.name, err)
 		}
-		fold := exec.NewFold(textgen.Labels, t.keywords...)
-		fold.ObserveResults(res.Results, matches[i].Texts)
+		fold := matches[i].Fold(textgen.Labels, t.keywords...)
+		fold.ObserveResults(res.Results, matches[i].Tokens())
 		sum := fold.Summary()
 		fmt.Printf("%s (%s + %s): %d questions, $%.3f attributed (published %d, shared %d, cached %d)\n",
 			t.name, t.keywords[0], t.keywords[1], len(res.Results), res.Cost,
@@ -148,7 +148,7 @@ func run(seed uint64, dispatchers int, budget float64) error {
 	// verified and cached, so nothing is published and nothing charged.
 	fmt.Printf("\n=== generation 2: tenant-0 re-runs its query ===\n")
 	m := tweets.Match(query(tenants[0]))
-	rerun, err := sched.Enqueue(scheduler.Request{Job: "tenant-0-rerun", Questions: tsa.Questions(m.Tweets)})
+	rerun, err := sched.Enqueue(scheduler.Request{Job: "tenant-0-rerun", Questions: m.Questions(textgen.Labels), TextHashes: m.TextHashes()})
 	if err != nil {
 		return err
 	}

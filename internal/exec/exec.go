@@ -7,8 +7,11 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"cdas/internal/jobs"
@@ -163,7 +166,8 @@ func Reasons(outcomes []Outcome, texts map[string]string, topK int, exclude ...s
 
 // topWords renders a per-answer word-frequency tally into the topK most
 // frequent words per answer (count descending, word ascending on ties) —
-// the shared presentation step of Reasons and Fold.
+// Reasons' presentation step. Fold ranks its own tally (Fold.topWords),
+// so a change to either order shows in TestFoldMatchesSummarise.
 func topWords(freq map[string]map[string]int, topK int) map[string][]string {
 	out := make(map[string][]string, len(freq))
 	for answer, counts := range freq {
@@ -211,31 +215,43 @@ type Summary struct {
 // Fold is a constant-memory Summary accumulator: outcomes are folded in
 // one at a time and their texts can be discarded immediately afterwards,
 // so a long-running stream holds O(domain x vocabulary) state instead of
-// every outcome and every matched item's text. Its Summary is
-// bit-identical to Summarise over the same outcomes in the same order
-// (per-answer float sums accumulate in observation order, exactly as
-// Summarise's loops do). Not safe for concurrent use.
+// every outcome and every matched item's text. The reason tally counts
+// token IDs from the fold's vocabulary and meets words only in Summary.
+// Its Summary is bit-identical to Summarise over the same outcomes in
+// the same order (per-answer float sums accumulate in observation
+// order, exactly as Summarise's loops do). Not safe for concurrent use.
 type Fold struct {
 	domain   []string
 	inDomain map[string]struct{}
 	excluded map[string]struct{}
 	percSums map[string]float64
-	freq     map[string]map[string]int
+	vocab    *textutil.Vocab
+	freq     map[string]map[uint32]int // answer -> token ID -> count
+	buf      []uint32                  // Observe's token IDs
 	items    int
 	accepted int
 	confSum  float64
 	qualSum  float64
 }
 
-// NewFold creates a fold over the query's answer domain. exclude lists
-// words (e.g. the query keywords) kept out of the reason lists.
+// NewFold creates a fold over the query's answer domain with a
+// vocabulary of its own, which Observe interns item texts into. exclude
+// lists words (e.g. the query keywords) kept out of the reason lists.
 func NewFold(domain []string, exclude ...string) *Fold {
+	return NewFoldOver(textutil.NewVocab(), domain, exclude...)
+}
+
+// NewFoldOver creates a fold whose token IDs number words in vocab: the
+// frozen vocabulary of a prepared stream, whose items' tokens
+// ObserveResults reads as IDs, so no text is tokenised per fold.
+func NewFoldOver(vocab *textutil.Vocab, domain []string, exclude ...string) *Fold {
 	f := &Fold{
 		domain:   append([]string(nil), domain...),
 		inDomain: make(map[string]struct{}, len(domain)),
 		excluded: make(map[string]struct{}),
 		percSums: make(map[string]float64, len(domain)),
-		freq:     make(map[string]map[string]int),
+		vocab:    vocab,
+		freq:     make(map[string]map[uint32]int),
 	}
 	for _, r := range domain {
 		f.inDomain[r] = struct{}{}
@@ -252,9 +268,21 @@ func NewFold(domain []string, exclude ...string) *Fold {
 // Observe folds one outcome in. text is the item's original text for
 // reason extraction; an empty text is treated like Summarise's "text
 // missing" case (the outcome still counts, but contributes no reasons).
-// The caller may drop the text after Observe returns — the fold retains
-// only its content-word tally.
+// Its content words are interned into the fold's vocabulary, so the
+// caller may drop the text after Observe returns. A fold over a frozen
+// vocabulary (NewFoldOver) cannot intern, and panics.
 func (f *Fold) Observe(oc Outcome, text string) {
+	var ids []uint32
+	if oc.Accepted != "" && text != "" {
+		f.buf = f.vocab.AppendContent(f.buf[:0], textutil.Fold(text))
+		ids = f.buf
+	}
+	f.observe(oc, ids, text != "")
+}
+
+// observe folds one outcome in with its item's content tokens, as IDs
+// into f.vocab; hasText false is the "text missing" case.
+func (f *Fold) observe(oc Outcome, ids []uint32, hasText bool) {
 	f.items++
 	if oc.Accepted == "" {
 		for r, p := range oc.Confidences {
@@ -270,19 +298,16 @@ func (f *Fold) Observe(oc Outcome, text string) {
 	f.accepted++
 	f.confSum += oc.Confidence
 	f.qualSum += oc.Quality
-	if text == "" {
+	if !hasText {
 		return
 	}
 	m := f.freq[oc.Accepted]
 	if m == nil {
-		m = make(map[string]int)
+		m = make(map[uint32]int)
 		f.freq[oc.Accepted] = m
 	}
-	for _, tok := range textutil.ContentTokens(text) {
-		if _, skip := f.excluded[tok]; skip {
-			continue
-		}
-		m[tok]++
+	for _, id := range ids {
+		m[id]++
 	}
 }
 
@@ -301,10 +326,14 @@ func (f *Fold) Summary() Summary {
 			perc[r] = f.percSums[r] / n
 		}
 	}
+	reasons := make(map[string][]string, len(f.freq))
+	for answer, counts := range f.freq {
+		reasons[answer] = f.topWords(counts, 3)
+	}
 	s := Summary{
 		Domain:      append([]string(nil), f.domain...),
 		Percentages: perc,
-		Reasons:     topWords(f.freq, 3),
+		Reasons:     reasons,
 		Items:       f.items,
 	}
 	if f.accepted > 0 {
@@ -312,6 +341,36 @@ func (f *Fold) Summary() Summary {
 		s.Quality = f.qualSum / float64(f.accepted)
 	}
 	return s
+}
+
+// topWords maps one answer's tally back to words and returns its topK
+// most frequent, count descending and word ascending on ties: Reasons'
+// order, which TestFoldMatchesSummarise holds it to. Excluded words are
+// tallied like any other and dropped here, which leaves the same list
+// as never counting them.
+func (f *Fold) topWords(counts map[uint32]int, topK int) []string {
+	type wordCount struct {
+		word  string
+		count int
+	}
+	ws := make([]wordCount, 0, len(counts))
+	for id, c := range counts {
+		w := f.vocab.Word(id)
+		if _, skip := f.excluded[w]; !skip {
+			ws = append(ws, wordCount{w, c})
+		}
+	}
+	slices.SortFunc(ws, func(a, b wordCount) int {
+		if a.count != b.count {
+			return cmp.Compare(b.count, a.count)
+		}
+		return strings.Compare(a.word, b.word)
+	})
+	words := make([]string, min(topK, len(ws)))
+	for i := range words {
+		words[i] = ws[i].word
+	}
+	return words
 }
 
 // Summarise builds a Summary from outcomes. exclude lists words (e.g. the

@@ -6,16 +6,23 @@ import (
 	"testing"
 
 	"cdas/internal/randx"
+	"cdas/internal/textutil"
 )
 
 // TestFoldMatchesSummarise drives randomized outcome sequences through
-// both the batch Summarise and the incremental Fold and requires
+// the batch Summarise and the incremental Fold and requires
 // bit-identical summaries — the contract that lets stream processors
 // drop item texts after folding without changing any published result.
+// The fold is fed twice: texts through Observe, which interns them into
+// its own vocabulary, and token IDs from a frozen shared vocabulary, as
+// a prepared stream feeds ObserveResults. The outcomes hold count ties,
+// excluded keywords in any case, texts of nothing but stop words and
+// excluded words, answers outside the domain, and undecided outcomes
+// whose confidence mass reaches the percentages.
 func TestFoldMatchesSummarise(t *testing.T) {
 	domain := []string{"Positive", "Neutral", "Negative"}
 	exclude := []string{"iPhone4S", "thor"}
-	words := []string{"love", "hate", "great", "meh", "broken", "shiny", "thor", "iphone4s"}
+	words := []string{"love", "hate", "great", "meh", "broken", "shiny", "thor", "iphone4s", "THOR", "the"}
 
 	rng := randx.New(77)
 	for trial := 0; trial < 50; trial++ {
@@ -23,6 +30,13 @@ func TestFoldMatchesSummarise(t *testing.T) {
 		outcomes := make([]Outcome, 0, n)
 		texts := make(map[string]string, n)
 		fold := NewFold(domain, exclude...)
+		vocab := textutil.NewVocab()
+		type observation struct {
+			oc      Outcome
+			ids     []uint32
+			hasText bool
+		}
+		var observed []observation
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("it%03d", i)
 			oc := Outcome{ItemID: id}
@@ -42,21 +56,38 @@ func TestFoldMatchesSummarise(t *testing.T) {
 				oc.Quality = rng.Float64()
 			}
 			text := ""
-			if oc.Accepted != "" && rng.IntN(5) > 0 {
+			switch r := rng.IntN(6); {
+			case oc.Accepted == "" || r == 0:
+			case r == 1: // no content word survives: stop words and excluded keywords only
+				text = "so the Thor, a iPhone4S"
+			default:
 				text = words[rng.IntN(len(words))] + " " + words[rng.IntN(len(words))] + " so " + words[rng.IntN(len(words))]
+			}
+			if text != "" {
 				texts[id] = text
 			}
 			outcomes = append(outcomes, oc)
 			fold.Observe(oc, text)
+			var ids []uint32
+			if text != "" {
+				ids = vocab.AppendContent(nil, textutil.Fold(text))
+			}
+			observed = append(observed, observation{oc, ids, text != ""})
+		}
+		vocab.Freeze()
+		tokenFold := NewFoldOver(vocab, domain, exclude...)
+		for _, o := range observed {
+			tokenFold.observe(o.oc, o.ids, o.hasText)
 		}
 
 		want := Summarise(domain, outcomes, texts, exclude...)
-		got := fold.Summary()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: fold diverged from Summarise\nwant %#v\ngot  %#v", trial, want, got)
-		}
-		if fold.Items() != len(outcomes) {
-			t.Fatalf("trial %d: fold.Items() = %d, want %d", trial, fold.Items(), len(outcomes))
+		for name, f := range map[string]*Fold{"Observe": fold, "token IDs": tokenFold} {
+			if got := f.Summary(); !reflect.DeepEqual(want, got) {
+				t.Fatalf("trial %d: fold fed by %s diverged from Summarise\nwant %#v\ngot  %#v", trial, name, want, got)
+			}
+			if f.Items() != len(outcomes) {
+				t.Fatalf("trial %d: fold fed by %s: Items() = %d, want %d", trial, name, f.Items(), len(outcomes))
+			}
 		}
 	}
 }

@@ -15,12 +15,18 @@ func OutcomesFromResults(rs []engine.QuestionResult) []Outcome {
 	return out
 }
 
-// ObserveResults folds engine verdicts in, in order, each with its
-// item's original text from texts (an item without one contributes no
-// reasons).
-func (f *Fold) ObserveResults(rs []engine.QuestionResult, texts map[string]string) {
+// ObserveResults folds engine verdicts in, in order. tokens gives the
+// content tokens of the item a verdict answers, as IDs into the fold's
+// vocabulary, and false for an item without text, which contributes no
+// reasons; a nil tokens treats every item so.
+func (f *Fold) ObserveResults(rs []engine.QuestionResult, tokens func(itemID string) ([]uint32, bool)) {
 	for _, qr := range rs {
-		f.Observe(outcomeOf(qr), texts[qr.Question.ID])
+		var ids []uint32
+		hasText := false
+		if tokens != nil {
+			ids, hasText = tokens(qr.Question.ID)
+		}
+		f.observe(outcomeOf(qr), ids, hasText)
 	}
 }
 

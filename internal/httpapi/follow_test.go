@@ -7,6 +7,8 @@ import (
 
 	"cdas/internal/crowd"
 	"cdas/internal/engine"
+	"cdas/internal/exec"
+	"cdas/internal/textutil"
 )
 
 // TestFollowStreams runs a real pipeline into Follow and checks the
@@ -47,7 +49,8 @@ func TestFollowStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := NewServer()
-	batches, err := server.Follow("panda", domain, texts, len(questions), ch)
+	fold, tokens := textFold(domain, texts)
+	batches, err := server.Follow("panda", fold, tokens, len(questions), ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +81,32 @@ func TestFollowStreams(t *testing.T) {
 	}
 	if st.Error != "" {
 		t.Errorf("healthy stream published error %q", st.Error)
+	}
+	reasons := 0
+	for answer, words := range st.Reasons {
+		reasons++
+		if len(words) != 3 || words[0] != "moment" || words[1] != "movie" || words[2] != "wonderful" {
+			t.Errorf("reasons for %q = %q, want every item's content words tied, in word order", answer, words)
+		}
+	}
+	if reasons == 0 {
+		t.Error("no reasons published: the items' tokens did not reach the fold")
+	}
+}
+
+// textFold numbers texts' content tokens in a frozen vocabulary, as a
+// prepared stream does, and returns a fold over it with the lookup
+// Follow reads each verdict's tokens through.
+func textFold(domain []string, texts map[string]string) (*exec.Fold, func(string) ([]uint32, bool)) {
+	vocab := textutil.NewVocab()
+	ids := make(map[string][]uint32, len(texts))
+	for id, text := range texts {
+		ids[id] = vocab.AppendContent(nil, textutil.Fold(text))
+	}
+	vocab.Freeze()
+	return exec.NewFoldOver(vocab, domain), func(id string) ([]uint32, bool) {
+		tokens, ok := ids[id]
+		return tokens, ok
 	}
 }
 
@@ -115,7 +144,7 @@ func TestFollowSurfacesFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := NewServer()
-	batches, err := server.Follow("doomed", domain, nil, len(questions), ch)
+	batches, err := server.Follow("doomed", exec.NewFold(domain), nil, len(questions), ch)
 	if err == nil {
 		t.Fatal("Follow swallowed the stream failure")
 	}

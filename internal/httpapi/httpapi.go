@@ -121,11 +121,10 @@ func (s *Server) UpdateFromSummary(name string, sum exec.Summary, progress float
 // finished batches ordered by batch index together with the first batch
 // error encountered.
 //
-// texts maps item IDs to their original text for reason extraction;
-// totalItems, when positive, drives the progress fraction; exclude lists
-// words kept out of the reason columns.
-func (s *Server) Follow(name string, domain []string, texts map[string]string, totalItems int, ch <-chan engine.StreamResult, exclude ...string) ([]engine.BatchResult, error) {
-	fold := exec.NewFold(domain, exclude...)
+// fold accumulates the summary, reading each verdict's item content
+// tokens from tokens (see Fold.ObserveResults); totalItems, when
+// positive, drives the progress fraction.
+func (s *Server) Follow(name string, fold *exec.Fold, tokens func(itemID string) ([]uint32, bool), totalItems int, ch <-chan engine.StreamResult) ([]engine.BatchResult, error) {
 	byIndex := make(map[int]engine.BatchResult)
 	var firstErr error
 	for sr := range ch {
@@ -136,7 +135,7 @@ func (s *Server) Follow(name string, domain []string, texts map[string]string, t
 			continue
 		}
 		byIndex[sr.Index] = sr.Batch
-		fold.ObserveResults(sr.Batch.Results, texts)
+		fold.ObserveResults(sr.Batch.Results, tokens)
 		s.UpdateFromSummary(name, fold.Summary(), followProgress(fold.Items(), totalItems, false), false)
 	}
 	// The stream is over either way, but a failed or cancelled query must

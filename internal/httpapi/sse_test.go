@@ -140,7 +140,8 @@ func TestSSEStreamsLiveQuery(t *testing.T) {
 	}
 	followDone := make(chan error, 1)
 	go func() {
-		_, err := server.Follow("panda", domain, texts, len(questions), ch)
+		fold, tokens := textFold(domain, texts)
+		_, err := server.Follow("panda", fold, tokens, len(questions), ch)
 		followDone <- err
 	}()
 

@@ -129,6 +129,13 @@ func CanonicalDomain(domain []string) []string {
 // length-prefixed, so no concatenation of different lists can produce
 // the same byte stream (no separator-injection collisions).
 func hashStrings(parts []string) string {
+	sum := hashSum(parts)
+	return hex.EncodeToString(sum[:])
+}
+
+// hashSum is hashStrings before its hex encoding: the first
+// hashHexLen/2 bytes of the SHA-256.
+func hashSum(parts []string) [hashHexLen / 2]byte {
 	h := sha256.New()
 	var lenBuf [8]byte
 	for _, p := range parts {
@@ -136,8 +143,9 @@ func hashStrings(parts []string) string {
 		h.Write(lenBuf[:])
 		h.Write([]byte(p))
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:hashHexLen/2])
+	var out [hashHexLen / 2]byte
+	copy(out[:], h.Sum(nil))
+	return out
 }
 
 // DomainKey identifies an answer set: the hash of its canonical form.
@@ -152,15 +160,41 @@ func DomainKey(domain []string) string {
 // questions over distinct canonical domains never collide, because the
 // domain hash is a dedicated prefix.
 func QuestionKey(q crowd.Question) string {
-	return questionKey(DomainKey(q.Domain), q.Text)
+	return questionKey(DomainKey(q.Domain), TextHash(q.Text))
+}
+
+// TextHash is the text half of a question key: the hash of the prompt's
+// canonical text with its case folded, in 8 bytes. A caller that asks
+// the same texts again and again computes it once per text and hands it
+// to Enqueue with the question (Request.TextHashes).
+func TextHash(text string) uint64 {
+	sum := hashSum([]string{foldCase(NormalizeText(text))})
+	return binary.BigEndian.Uint64(sum[:])
+}
+
+// foldCase maps each rune of normalised text to the lower case of its
+// upper case. Lower-casing alone leaves some runes apart from their own
+// upper case — µ upper-cases to Μ, which lower-cases to μ, and final ς
+// to Σ and then σ — so two prompts differing only in case would get two
+// keys. ASCII text, where lower-casing suffices, is returned as is.
+func foldCase(s string) string {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return strings.Map(func(r rune) rune { return unicode.ToLower(unicode.ToUpper(r)) }, s)
+		}
+	}
+	return s
 }
 
 // questionKey joins a domain key — aggregator-qualified or not — and
-// the hash of the prompt's canonical text. Enqueue calls it directly
-// with the domain key it derived once for a run of questions over one
-// domain.
-func questionKey(domainKey, text string) string {
-	return domainKey + "/" + hashStrings([]string{NormalizeText(text)})
+// a prompt's TextHash. Enqueue calls it directly with the domain key it
+// derived once for a run of questions over one domain.
+func questionKey(domainKey string, textHash uint64) string {
+	var sum [8]byte
+	binary.BigEndian.PutUint64(sum[:], textHash)
+	var hexSum [hashHexLen]byte
+	hex.Encode(hexSum[:], sum[:])
+	return domainKey + "/" + string(hexSum[:])
 }
 
 // ItemKey is the dedup key of one free-text enumeration answer: the

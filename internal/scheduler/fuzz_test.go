@@ -15,7 +15,12 @@ import (
 //     fields must not affect identity;
 //  2. questions over distinct canonical domains never collide — the
 //     domain hash is a dedicated key prefix, so cross-domain reuse of a
-//     cached answer is structurally impossible.
+//     cached answer is structurally impossible;
+//  3. the key Enqueue joins from a caller-supplied TextHash
+//     (Request.TextHashes) is QuestionKey, for any text, and both
+//     halves are the length-prefixed hashes of the canonical forms —
+//     the text's taken from its upper case, so that case cannot split
+//     a key even where lower-casing alone would.
 //
 // The committed seed corpus (testdata/fuzz/FuzzQuestionKey) pins the
 // known-tricky shapes: separator injection, unicode case folding,
@@ -26,6 +31,9 @@ func FuzzQuestionKey(f *testing.F) {
 	f.Add("", "x,y", "z", 0)
 	f.Add("pos,neu", "a,b", "a,b", 3) // commas in text vs domain separators
 	f.Add("HELLO\tWORLD", "Yes, No ", "NO", 5)
+	f.Add("  Ünïcödé\u00a0 \u212aELVIN  İstanbul\n", "Ja,Nein", "NEIN", 1) // non-ASCII case and space
+	f.Add("bad \xff UTF-8\t\tRUNS", "a,b", "", 0)
+	f.Add("µ λόγος", "0", "0", -24) // lower-casing alone keeps µ from Μ and ς from Σ
 	f.Fuzz(func(t *testing.T, text, domainCSV, extra string, rot int) {
 		domain := strings.Split(domainCSV, ",")
 		base := crowd.Question{ID: "base/0", Text: text, Domain: domain}
@@ -47,6 +55,18 @@ func FuzzQuestionKey(f *testing.F) {
 		}
 		if got := QuestionKey(perturbed); got != key {
 			t.Errorf("canonically-equal questions got distinct keys:\n%q\n%q", key, got)
+		}
+
+		// Property 3: a key joined from a precomputed text hash, of the
+		// text as given or canonically perturbed, is QuestionKey, which
+		// is the two halves' length-prefixed hashes.
+		for _, q := range []crowd.Question{base, perturbed} {
+			if got, want := questionKey(DomainKey(q.Domain), TextHash(q.Text)), QuestionKey(q); got != want {
+				t.Errorf("key from the text hash of %q = %q, QuestionKey says %q", q.Text, got, want)
+			}
+		}
+		if want := hashStrings(CanonicalDomain(domain)) + "/" + hashStrings([]string{NormalizeText(strings.ToUpper(text))}); key != want {
+			t.Errorf("QuestionKey = %q, the length-prefixed hashes of the canonical halves say %q", key, want)
 		}
 
 		// Property 2: a canonically-distinct domain never shares a key

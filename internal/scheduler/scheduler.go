@@ -129,6 +129,11 @@ type Request struct {
 	// Questions is the job's question set. IDs must be unique within
 	// the request.
 	Questions []crowd.Question
+	// TextHashes, when set, holds TextHash(Questions[i].Text) at i:
+	// hashed once by a caller that asks the same texts for many jobs
+	// (tsa.Stream), so Enqueue only joins each to its domain key. Unset,
+	// Enqueue hashes every question's text.
+	TextHashes []uint64
 }
 
 // JobResult is the scheduler's answer to one request.
@@ -357,6 +362,9 @@ func (s *Scheduler) Enqueue(req Request) (*Ticket, error) {
 	if len(req.Questions) == 0 {
 		return nil, errors.New("scheduler: request needs at least one question")
 	}
+	if req.TextHashes != nil && len(req.TextHashes) != len(req.Questions) {
+		return nil, fmt.Errorf("scheduler: request has %d text hashes for %d questions", len(req.TextHashes), len(req.Questions))
+	}
 	if err := aggregate.Validate(req.Aggregator); err != nil {
 		return nil, fmt.Errorf("scheduler: %w", err)
 	}
@@ -387,7 +395,13 @@ func (s *Scheduler) Enqueue(req Request) (*Ticket, error) {
 		if i == 0 || !slices.Equal(q.Domain, dkOf) {
 			dk, dkOf = aggPrefix+DomainKey(q.Domain), q.Domain
 		}
-		ref := slotRef{key: questionKey(dk, q.Text), dk: dk}
+		var textHash uint64
+		if req.TextHashes != nil {
+			textHash = req.TextHashes[i]
+		} else {
+			textHash = TextHash(q.Text)
+		}
+		ref := slotRef{key: questionKey(dk, textHash), dk: dk}
 		ref.slotKey = ref.key
 		if s.cfg.DisableDedup {
 			// Job- and ID-qualified: no coalescing at all, neither

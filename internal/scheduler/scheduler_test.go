@@ -527,6 +527,78 @@ func TestSchedulerAnswerMappedToSubscriberDomain(t *testing.T) {
 	}
 }
 
+// TestSchedulerSharedDomainUnchanged: a job's questions share one
+// domain slice, as tsa builds them, and the scheduler only reads it —
+// through a flush, the MapAnswer translation into a differently spelled
+// subscriber's domain, and a cache-hit resolve at Enqueue. A request
+// carrying its TextHashes dedups with, and is served from the cache of,
+// one that does not.
+func TestSchedulerSharedDomainUnchanged(t *testing.T) {
+	s := newTestScheduler(t, nil)
+	lower := []string{"positive", "neutral", "negative"}
+	upper := []string{"NEGATIVE", "POSITIVE", "NEUTRAL"}
+	lowerWas, upperWas := slices.Clone(lower), slices.Clone(upper)
+	request := func(job string, domain []string, hashed bool) Request {
+		req := Request{Job: job, Questions: make([]crowd.Question, 20)}
+		for i := range req.Questions {
+			text := fmt.Sprintf("Shared Tweet #%d", i)
+			req.Questions[i] = crowd.Question{ID: fmt.Sprintf("%s/%02d", job, i), Text: text, Domain: domain, Truth: domain[1]}
+			if hashed {
+				req.TextHashes = append(req.TextHashes, TextHash(text))
+			}
+		}
+		return req
+	}
+	check := func(step string, res JobResult, err error, domain []string) {
+		t.Helper()
+		if err != nil || len(res.Results) != 20 {
+			t.Fatalf("%s: %d results, err %v", step, len(res.Results), err)
+		}
+		for _, qr := range res.Results {
+			if !slices.Contains(domain, qr.Answer) {
+				t.Errorf("%s: answer %q not spelled in the job's domain %v", step, qr.Answer, domain)
+			}
+		}
+		if !slices.Equal(lower, lowerWas) || !slices.Equal(upper, upperWas) {
+			t.Fatalf("%s: shared domains changed to %v and %v", step, lower, upper)
+		}
+	}
+
+	alpha, err := s.Enqueue(request("alpha", lower, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta, err := s.Enqueue(request("beta", upper, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := alpha.Wait(context.Background())
+	check("flush", res, err, lower)
+	res, err = beta.Wait(context.Background())
+	check("MapAnswer", res, err, upper)
+	if res.Shared != 20 {
+		t.Errorf("beta shared %d of 20 slots with alpha: keys from TextHashes differ from keys from text", res.Shared)
+	}
+
+	gamma, err := s.Enqueue(request("gamma", upper, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gamma.done:
+	default:
+		t.Fatal("an all-hit request did not resolve at Enqueue")
+	}
+	res, err = gamma.Wait(context.Background())
+	check("cache hit at Enqueue", res, err, upper)
+	if res.CacheHits != 20 {
+		t.Errorf("gamma: %d cache hits, want 20", res.CacheHits)
+	}
+}
+
 // TestSchedulerAbandonedTicket: an abandoned (cancelled) ticket is
 // resolved without publishing or charging anything.
 func TestSchedulerAbandonedTicket(t *testing.T) {
@@ -627,6 +699,7 @@ func TestSchedulerEnqueueValidation(t *testing.T) {
 		{"empty question id", Request{Job: "j", Questions: []crowd.Question{{Text: "t", Domain: testDomain}}}},
 		{"duplicate ids", Request{Job: "j", Questions: []crowd.Question{ok, ok}}},
 		{"small domain", Request{Job: "j", Questions: []crowd.Question{{ID: "x", Text: "t", Domain: []string{"only"}}}}},
+		{"text hashes not parallel", Request{Job: "j", Questions: []crowd.Question{ok}, TextHashes: []uint64{1, 2}}},
 	}
 	for _, c := range cases {
 		if _, err := s.Enqueue(c.req); err == nil {

@@ -123,9 +123,7 @@ func TextgenSource(job jobs.Job) (Source, Convert, error) {
 		if !ok {
 			return crowd.Question{ID: it.ID, Text: it.Text, Domain: domain}
 		}
-		q := t.Question()
-		q.Domain = append([]string(nil), domain...)
-		return q
+		return t.QuestionIn(domain)
 	}
 	return NewSliceSource(items), convert, nil
 }

@@ -289,16 +289,23 @@ func fill(template, movie string, word func() string) string {
 	return out
 }
 
-// Question converts a tweet into the crowd question the engine publishes:
-// domain = sentiment labels, with per-kind difficulty reflecting how much
-// context a human needs. Hard tweets carry a trap pulling workers to the
-// surface answer; mixed/weak/tinged tweets raise difficulty without a
-// systematic pull.
+// Question converts a tweet into the crowd question the engine publishes,
+// over its own copy of the sentiment labels; see QuestionIn.
 func (t Tweet) Question() crowd.Question {
+	return t.QuestionIn(append([]string(nil), Labels...))
+}
+
+// QuestionIn converts a tweet into the crowd question the engine
+// publishes, answered over domain, with per-kind difficulty reflecting
+// how much context a human needs. Hard tweets carry a trap pulling
+// workers to the surface answer; mixed/weak/tinged tweets raise
+// difficulty without a systematic pull. The question holds domain
+// itself, not a copy: a job's questions share one read-only domain.
+func (t Tweet) QuestionIn(domain []string) crowd.Question {
 	q := crowd.Question{
 		ID:     t.ID,
 		Text:   t.Text,
-		Domain: append([]string(nil), Labels...),
+		Domain: domain,
 		Truth:  t.Truth,
 	}
 	switch {

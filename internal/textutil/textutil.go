@@ -53,6 +53,67 @@ func ContentTokens(text string) []string {
 	return out
 }
 
+// Vocab numbers content words densely from 0, in the order it first
+// sees them, so a tally can count integers instead of strings. While it
+// interns it is not safe for concurrent use; once frozen it only reads,
+// and any number of goroutines may share it.
+type Vocab struct {
+	ids   map[string]uint32 // nil once frozen
+	words []string
+}
+
+// NewVocab returns an empty vocabulary.
+func NewVocab() *Vocab { return &Vocab{ids: make(map[string]uint32)} }
+
+// AppendContent appends to dst the IDs of folded's content tokens, in
+// order: the tokens ContentTokens returns for the text folded was
+// folded from, so folded must be text already passed through Fold.
+// Words the vocabulary has not seen are interned as copies, so it never
+// keeps folded alive. It panics on a frozen vocabulary.
+func (v *Vocab) AppendContent(dst []uint32, folded string) []uint32 {
+	if v.ids == nil {
+		panic("textutil: AppendContent on a frozen Vocab")
+	}
+	start := -1 // the current token's first byte, -1 between tokens
+	for i, r := range folded {
+		if unicode.IsLetter(r) || unicode.IsNumber(r) || r == '\'' {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			dst = v.appendContent(dst, folded[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = v.appendContent(dst, folded[start:])
+	}
+	return dst
+}
+
+func (v *Vocab) appendContent(dst []uint32, tok string) []uint32 {
+	if len(tok) <= 1 || IsStopword(tok) {
+		return dst
+	}
+	id, ok := v.ids[tok]
+	if !ok {
+		w := strings.Clone(tok)
+		id = uint32(len(v.words))
+		v.words = append(v.words, w)
+		v.ids[w] = id
+	}
+	return append(dst, id)
+}
+
+// Freeze ends interning: the vocabulary drops its word index and from
+// then on only maps IDs to words.
+func (v *Vocab) Freeze() { v.ids = nil }
+
+// Word returns the word numbered id.
+func (v *Vocab) Word(id uint32) string { return v.words[id] }
+
 // Fold case-folds s the way the keyword matcher compares text. A filter
 // that outlives one comparison folds each side once — tsa.Stream its
 // tweets, a standing query its keywords — and compares with

@@ -77,3 +77,40 @@ func TestContainsAny(t *testing.T) {
 		}
 	}
 }
+
+// AppendContent over folded text numbers exactly ContentTokens' tokens,
+// in order, whatever the text: punctuation, apostrophes, digits,
+// non-ASCII letters and invalid UTF-8 split and join alike.
+func TestVocabAppendContentMatchesContentTokens(t *testing.T) {
+	texts := []string{
+		"", "a", "The movie was a terrible, terrible mess I think",
+		"don't stop", "iPhone4S rocks!!! iphone4s", "  multiple   spaces ",
+		"Ünïcödé WORDS über alles", "Kelvin İstanbul", "bad \xff utf8\xffhere", "x y zz 42 4",
+	}
+	v := NewVocab()
+	first := make([][]uint32, len(texts))
+	for i, text := range texts {
+		ids := v.AppendContent(nil, Fold(text))
+		first[i] = ids
+		got := make([]string, len(ids))
+		for i, id := range ids {
+			got[i] = v.Word(id)
+		}
+		if want := ContentTokens(text); !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
+			t.Errorf("AppendContent(%q) numbers %q, ContentTokens says %q", text, got, want)
+		}
+	}
+	if again := v.AppendContent(nil, Fold(texts[2])); !reflect.DeepEqual(again, first[2]) || again[1] != again[2] {
+		t.Errorf("re-reading %q numbered it %v, first %v: a word was interned twice", texts[2], again, first[2])
+	}
+	v.Freeze()
+	if got := v.Word(first[2][0]); got != "movie" {
+		t.Errorf("after Freeze word %d is %q, want %q", first[2][0], got, "movie")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendContent on a frozen Vocab did not panic")
+		}
+	}()
+	v.AppendContent(nil, "new words")
+}

@@ -23,9 +23,9 @@ import (
 type ResultSink interface {
 	// UpdateFromSummary publishes one query-state revision.
 	UpdateFromSummary(name string, sum exec.Summary, progress float64, done bool)
-	// Follow consumes a pipeline stream, publishing a revision per
-	// finished HIT; it blocks until the stream closes.
-	Follow(name string, domain []string, texts map[string]string, totalItems int, ch <-chan engine.StreamResult, exclude ...string) ([]engine.BatchResult, error)
+	// Follow consumes a pipeline stream into fold, publishing a
+	// revision per finished HIT; it blocks until the stream closes.
+	Follow(name string, fold *exec.Fold, tokens func(itemID string) ([]uint32, bool), totalItems int, ch <-chan engine.StreamResult) ([]engine.BatchResult, error)
 }
 
 // RunnerConfig wires NewJobRunner.
@@ -73,11 +73,11 @@ func NewJobRunner(cfg RunnerConfig) jobs.Runner {
 			return fmt.Errorf("%w: %w", jobs.ErrPermanent, derr)
 		}
 		m := stream.Match(job.Query)
-		if len(m.Tweets) == 0 {
+		if m.Len() == 0 {
 			// A keyword filter matching nothing is deterministic too.
 			return fmt.Errorf("%w: tsa: no tweets matched query %v", jobs.ErrPermanent, job.Query.Keywords)
 		}
-		ch, err := eng.Stream(ctx, QuestionsInDomain(m.Tweets, job.Query.Domain), GoldenQuestions(cfg.Golden))
+		ch, err := eng.Stream(ctx, m.Questions(job.Query.Domain), GoldenQuestions(cfg.Golden))
 		if err != nil {
 			return err
 		}
@@ -90,12 +90,12 @@ func NewJobRunner(cfg RunnerConfig) jobs.Runner {
 			fwd = make(chan engine.StreamResult, 1)
 			go func() {
 				defer close(followed)
-				cfg.API.Follow(job.Name, job.Query.Domain, m.Texts, len(m.Tweets), fwd, job.Query.Keywords...)
+				cfg.API.Follow(job.Name, m.Fold(job.Query.Domain, job.Query.Keywords...), m.Tokens(), m.Len(), fwd)
 			}()
 		} else {
 			close(followed)
 		}
-		total := len(m.Tweets)
+		total := m.Len()
 		answered := 0
 		var cost float64
 		var firstErr error

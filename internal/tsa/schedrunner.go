@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cdas/internal/exec"
 	"cdas/internal/jobs"
 	"cdas/internal/scheduler"
 	"cdas/internal/textgen"
@@ -65,7 +64,7 @@ func NewScheduledJobRunner(cfg ScheduledRunnerConfig) jobs.Runner {
 			return fmt.Errorf("%w: %w", jobs.ErrPermanent, derr)
 		}
 		m := stream.Match(job.Query)
-		if len(m.Tweets) == 0 {
+		if m.Len() == 0 {
 			// A keyword filter matching nothing is deterministic: retrying
 			// replays the same outcome.
 			return fmt.Errorf("%w: tsa: no tweets matched query %v", jobs.ErrPermanent, job.Query.Keywords)
@@ -75,7 +74,8 @@ func NewScheduledJobRunner(cfg ScheduledRunnerConfig) jobs.Runner {
 			Priority:   job.Priority,
 			Budget:     job.Budget,
 			Aggregator: job.Aggregator,
-			Questions:  QuestionsInDomain(m.Tweets, job.Query.Domain),
+			Questions:  m.Questions(job.Query.Domain),
+			TextHashes: m.TextHashes(),
 		})
 		if err != nil {
 			return fmt.Errorf("%w: tsa: %w", jobs.ErrPermanent, err)
@@ -94,14 +94,14 @@ func NewScheduledJobRunner(cfg ScheduledRunnerConfig) jobs.Runner {
 			// for its surviving domain groups; record that spend before
 			// surfacing the failure.
 			if res.Cost > 0 {
-				report(float64(len(res.Results))/float64(len(m.Tweets)), res.Cost)
+				report(float64(len(res.Results))/float64(m.Len()), res.Cost)
 			}
 			return err
 		}
 		report(1, res.Cost)
 		if cfg.API != nil {
-			fold := exec.NewFold(job.Query.Domain, job.Query.Keywords...)
-			fold.ObserveResults(res.Results, m.Texts)
+			fold := m.Fold(job.Query.Domain, job.Query.Keywords...)
+			fold.ObserveResults(res.Results, m.Tokens())
 			cfg.API.UpdateFromSummary(job.Name, fold.Summary(), 1, true)
 		}
 		return nil

@@ -29,7 +29,7 @@ func (s *summarySink) UpdateFromSummary(name string, sum exec.Summary, _ float64
 	s.done[name] = sum
 }
 
-func (s *summarySink) Follow(string, []string, map[string]string, int, <-chan engine.StreamResult, ...string) ([]engine.BatchResult, error) {
+func (s *summarySink) Follow(string, *exec.Fold, func(string) ([]uint32, bool), int, <-chan engine.StreamResult) ([]engine.BatchResult, error) {
 	panic("the scheduled runner does not follow engine streams")
 }
 

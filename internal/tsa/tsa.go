@@ -51,11 +51,7 @@ func FilterTweets(tweets []textgen.Tweet, q jobs.Query) []textgen.Tweet {
 // Questions converts tweets to crowd questions over the default TSA
 // domain (textgen.Labels).
 func Questions(tweets []textgen.Tweet) []crowd.Question {
-	qs := make([]crowd.Question, len(tweets))
-	for i, t := range tweets {
-		qs[i] = t.Question()
-	}
-	return qs
+	return QuestionsInDomain(tweets, textgen.Labels)
 }
 
 // QuestionsInDomain converts tweets to crowd questions answered over the
@@ -66,13 +62,12 @@ func Questions(tweets []textgen.Tweet) []crowd.Question {
 // standard TSA jobs are unaffected; distinct domains also schedule as
 // distinct cross-query groups (a worker asked to pick from a different
 // answer set is doing different work, so their questions never
-// coalesce).
+// coalesce). The questions share one copy of domain.
 func QuestionsInDomain(tweets []textgen.Tweet, domain []string) []crowd.Question {
+	domain = append([]string(nil), domain...)
 	qs := make([]crowd.Question, len(tweets))
 	for i, t := range tweets {
-		q := t.Question()
-		q.Domain = append([]string(nil), domain...)
-		qs[i] = q
+		qs[i] = t.QuestionIn(domain)
 	}
 	return qs
 }
@@ -103,41 +98,35 @@ func ValidateDomain(domain []string) error {
 // requester has verified (the paper embeds αB such questions per HIT).
 // Golden IDs are prefixed to avoid colliding with live questions.
 func GoldenQuestions(tweets []textgen.Tweet) []crowd.Question {
-	qs := make([]crowd.Question, len(tweets))
-	for i, t := range tweets {
-		q := t.Question()
-		q.ID = "golden/" + q.ID
-		qs[i] = q
+	qs := Questions(tweets)
+	for i := range qs {
+		qs[i].ID = "golden/" + qs[i].ID
 	}
 	return qs
 }
 
-// Matched is the executor's view of one query's filtered stream: the
-// matching tweets plus the text and ground-truth lookups downstream
-// consumers (summaries, accuracy scoring, live result pages) need.
-type Matched struct {
+// Filtered is the one-shot filter's result: the matching tweets, copied,
+// in stream order.
+type Filtered struct {
 	Tweets []textgen.Tweet
-	// Texts maps tweet ID to original text, for reason extraction.
-	Texts map[string]string
-	// Truths maps tweet ID to the simulated ground-truth label.
-	Truths map[string]string
 }
 
-// Match filters the stream against the query and indexes the matches,
-// once; see Stream.Match for the prepared form.
-func Match(q jobs.Query, stream []textgen.Tweet) Matched {
-	return matched(FilterTweets(stream, q))
+// Match filters the stream against the query once, scanning it; see
+// Stream.Match for the prepared form.
+func Match(q jobs.Query, stream []textgen.Tweet) Filtered {
+	return Filtered{Tweets: FilterTweets(stream, q)}
 }
 
 // Accuracy scores batches against ground truth: the fraction of answered
-// questions whose accepted answer matches truths, and how many questions
-// were answered. answered == 0 yields accuracy 0.
-func Accuracy(batches []engine.BatchResult, truths map[string]string) (accuracy float64, answered int) {
+// questions whose accepted answer matches the simulated truth the
+// question carries, and how many questions were answered. answered == 0
+// yields accuracy 0.
+func Accuracy(batches []engine.BatchResult) (accuracy float64, answered int) {
 	correct := 0
 	for _, br := range batches {
 		for _, qr := range br.Results {
 			answered++
-			if qr.Answer == truths[qr.Question.ID] {
+			if qr.Answer == qr.Question.Truth {
 				correct++
 			}
 		}
@@ -194,11 +183,13 @@ func run(ctx context.Context, eng *engine.Engine, q jobs.Query, stream, golden [
 	if err := ValidateDomain(q.Domain); err != nil {
 		return Result{}, err
 	}
-	m := Match(q, stream)
-	if len(m.Tweets) == 0 {
+	// One query: scan the stream, and prepare only the matches, for
+	// their per-tweet tables.
+	m := NewStream(FilterTweets(stream, q)).all()
+	if m.Len() == 0 {
 		return Result{}, fmt.Errorf("tsa: no tweets matched query %v", q.Keywords)
 	}
-	questions := QuestionsInDomain(m.Tweets, q.Domain)
+	questions := m.Questions(q.Domain)
 	var batches []engine.BatchResult
 	var err error
 	if ctx != nil {
@@ -210,16 +201,16 @@ func run(ctx context.Context, eng *engine.Engine, q jobs.Query, stream, golden [
 		return Result{}, err
 	}
 
-	fold := exec.NewFold(q.Domain, q.Keywords...)
+	fold, tokens := m.Fold(q.Domain, q.Keywords...), m.Tokens()
 	for _, br := range batches {
-		fold.ObserveResults(br.Results, m.Texts)
+		fold.ObserveResults(br.Results, tokens)
 	}
-	accuracy, _ := Accuracy(batches, m.Truths)
+	accuracy, _ := Accuracy(batches)
 	return Result{
 		Query:    q,
 		Summary:  fold.Summary(),
 		Accuracy: accuracy,
-		Tweets:   len(m.Tweets),
+		Tweets:   m.Len(),
 		Batches:  batches,
 	}, nil
 }
