@@ -243,24 +243,19 @@ func TestWatchQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Take the replay before the updates start: WatchQuery returns on the
-	// response headers, which the server sends before it replays, so
-	// updates racing the replay would fold into it (one event, rev 5).
-	got := []QueryEvent{<-events}
-	go func() {
-		for i := 1; i <= 3; i++ {
-			b.srv.Update(api.QueryState{Name: "live", Domain: domain, Items: i * 10, Progress: float64(i) / 4})
-		}
-		b.srv.Update(api.QueryState{Name: "live", Domain: domain, Items: 40, Progress: 1, Done: true})
-	}()
+	for i := 1; i <= 3; i++ {
+		b.srv.Update(api.QueryState{Name: "live", Domain: domain, Items: i * 10, Progress: float64(i) / 4})
+	}
+	b.srv.Update(api.QueryState{Name: "live", Domain: domain, Items: 40, Progress: 1, Done: true})
+	var got []QueryEvent
 	for ev := range events {
 		if ev.Err != nil {
 			t.Fatalf("watch error: %v", ev.Err)
 		}
 		got = append(got, ev)
 	}
-	if len(got) < 2 {
-		t.Fatalf("received %d events, want >= 2", len(got))
+	if len(got) != 5 {
+		t.Fatalf("received %d events, want 5 (replay, 3 updates, done): %+v", len(got), got)
 	}
 	if got[0].ID != 1 || got[0].Type != api.EventState {
 		t.Errorf("first event = %+v, want replay of rev 1", got[0])

@@ -94,16 +94,10 @@ func TestClientEnumerationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WatchEnumeration: %v", err)
 	}
-	// Take the replay before publishing: WatchEnumeration returns on the
-	// response headers, which the server sends before it replays, so
-	// batches racing the replay would fold into it (one done event).
-	last := <-events
-	if last.Err != nil {
-		t.Fatalf("watch replay: %v", last.Err)
-	}
-	kinds := []string{last.Type}
 	b.publishEnumBatch("e1", 1, false)
 	b.publishEnumBatch("e1", 2, true)
+	var kinds []string
+	var last EnumWatchEvent
 	deadline := time.After(15 * time.Second)
 	for {
 		select {

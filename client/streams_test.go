@@ -78,23 +78,16 @@ func TestClientStreamLifecycle(t *testing.T) {
 		t.Errorf("Stream(ghost) err = %v, want api 404", err)
 	}
 
-	// A watcher sees published windows and stops at done. Window 0 is
-	// published first so the connect replay exists, and the replay is
-	// taken before publishing more: WatchStream returns on the response
-	// headers, which the server sends before it replays, so windows
-	// racing the replay would fold into it (one done event).
-	b.publishWindow("s1", 0, false)
+	// A watcher sees published windows and stops at done.
 	events, err := c.WatchStream(ctx, "s1")
 	if err != nil {
 		t.Fatalf("WatchStream: %v", err)
 	}
-	last := <-events
-	if last.Err != nil {
-		t.Fatalf("watch replay: %v", last.Err)
-	}
-	kinds := []string{last.Type}
+	b.publishWindow("s1", 0, false)
 	b.publishWindow("s1", 1, false)
 	b.publishWindow("s1", 2, true)
+	var kinds []string
+	var last StreamEvent
 	deadline := time.After(15 * time.Second)
 	for {
 		select {

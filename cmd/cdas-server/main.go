@@ -38,9 +38,8 @@
 //
 // Continuous jobs are submitted as POST /v1/jobs with kind
 // "continuous"; enumerations with kind "enumeration" and an "enum"
-// spec block. The pre-v1 routes (/jobs..., /api/...) and the
-// /v1/streams group stay mounted as deprecated aliases with a
-// Deprecation header.
+// spec block. The /v1/streams group stays mounted as a deprecated
+// alias with a Deprecation header.
 package main
 
 import (

@@ -1,25 +1,29 @@
 // Example jobservice demonstrates the durable job service: jobs are
-// submitted to a dispatcher pool, executed through the engine's
-// concurrent HIT pipeline, and every lifecycle transition is committed
-// to the LSM job store. The example stops the service mid-flight — the
-// moral equivalent of kill -9 — then reopens the store and shows the
-// replay resuming the interrupted job without re-running the finished
-// one.
+// submitted to a dispatcher pool, executed through the cross-query crowd
+// scheduler, and every lifecycle transition and budget charge is
+// committed to the LSM job store. The example stops the service while
+// the second job's HITs are being bought — the moral equivalent of
+// kill -9 — then reopens the store and shows the replay resuming the
+// interrupted job without re-running the finished one.
 package main
 
 import (
 	"fmt"
 	"log"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"cdas/internal/crowd"
 	"cdas/internal/engine"
 	"cdas/internal/jobs"
 	"cdas/internal/metrics"
+	"cdas/internal/scheduler"
 	"cdas/internal/textgen"
 	"cdas/internal/tsa"
 )
+
+const seed = 7
 
 func main() {
 	dir, err := os.MkdirTemp("", "cdas-jobservice-*")
@@ -29,8 +33,7 @@ func main() {
 	defer os.RemoveAll(dir)
 	fmt.Printf("job store: %s\n\n", dir)
 
-	const seed = 7
-	platform, err := crowd.NewPlatform(crowd.DefaultConfig(seed))
+	sim, err := crowd.NewPlatform(crowd.DefaultConfig(seed))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,37 +48,29 @@ func main() {
 	}
 	// The simulator answers instantly; pace HIT publication like a real
 	// crowd market would so there is a mid-flight moment to interrupt.
-	runner := tsa.NewJobRunner(tsa.RunnerConfig{
-		Platform: slowPlatform{CrowdPlatform: engine.CrowdPlatform{Platform: platform}, delay: 40 * time.Millisecond},
-		Stream:   stream,
-		Golden:   golden,
-		Engine:   engine.Config{HITSize: 10, MaxInflightHITs: 1, Seed: seed},
-	})
+	platform := &slowPlatform{CrowdPlatform: engine.CrowdPlatform{Platform: sim}, delay: 40 * time.Millisecond}
 	counters := metrics.NewRegistry()
 	start := time.Date(2011, 10, 1, 0, 0, 0, 0, time.UTC)
 
 	// ---- First incarnation: run one job, interrupt the other. ----
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
-	if err != nil {
-		log.Fatal(err)
-	}
-	disp, err := jobs.NewDispatcher(svc, runner, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	disp.Start()
+	svc, sched, disp := boot(dir, platform, stream, golden, counters)
 	for _, movie := range movies {
 		if _, err := disp.Submit(jobs.Job{Name: movie, Kind: jobs.KindTSA,
 			Query: tsa.Query(movie, 0.9, start, 24*time.Hour)}); err != nil {
 			log.Fatal(err)
 		}
 	}
-	// Wait until the first job is done and the second is mid-flight,
-	// then cut the process down.
+	// Wait until the first job is done and the second one's generation
+	// is buying HITs from the slow platform, then cut the process down.
+	// (The scheduler reports a job's progress once, when its generation
+	// has flushed, so a mid-flight job still reads 0%.)
+	var published int64
 	for {
 		first, _ := disp.Status(movies[0])
 		second, _ := disp.Status(movies[1])
-		if first.State.Terminal() && second.State == jobs.StateRunning && second.Progress > 0 {
+		if !first.State.Terminal() {
+			published = platform.published.Load()
+		} else if second.State == jobs.StateRunning && platform.published.Load() > published {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -87,23 +82,17 @@ func main() {
 	// process that can no longer write.)
 	svc.Close()
 	disp.Stop()
+	sched.Close()
 	fmt.Println("state at the moment of the crash (in-flight job still \"running\"):")
 	printStatuses(svc)
 
 	// ---- Second incarnation: reopen the store and finish the rest. ----
-	svc2, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
-	if err != nil {
-		log.Fatal(err)
-	}
+	svc2, sched2, disp2 := boot(dir, platform, stream, golden, counters)
 	defer svc2.Close()
+	defer sched2.Close()
 	for _, name := range svc2.Resumed() {
 		fmt.Printf("\nreplay resumed interrupted job %q\n", name)
 	}
-	disp2, err := jobs.NewDispatcher(svc2, runner, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	disp2.Start()
 	for {
 		allDone := true
 		for _, st := range disp2.Statuses() {
@@ -127,14 +116,50 @@ func main() {
 		counters.Get(metrics.CounterWALAppends))
 }
 
-// slowPlatform delays each HIT publication, simulating a marketplace
-// where assignments take real time.
-type slowPlatform struct {
-	engine.CrowdPlatform
-	delay time.Duration
+// boot opens one incarnation of the service on dir, wired as
+// cdas-server wires it: the store, a scheduler whose charges are
+// committed to the store's budget ledger, and one dispatcher running
+// TSA jobs through the scheduler.
+func boot(dir string, platform engine.Platform, stream, golden []textgen.Tweet, counters *metrics.Registry) (*jobs.Service, *scheduler.Scheduler, *jobs.Dispatcher) {
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Dir: dir, Counters: counters})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sched, err := scheduler.New(scheduler.Config{
+		Platform:      platform,
+		Engine:        engine.Config{RequiredAccuracy: 0.9, HITSize: 10, MaxInflightHITs: 1, Seed: seed},
+		Golden:        tsa.GoldenQuestions(golden),
+		FlushInterval: 20 * time.Millisecond,
+		OnCharge: func(job string, amount float64) {
+			// The crowd is paid by now; a store closed by the crash
+			// cannot record it.
+			if err := svc.ChargeBudget(job, amount); err != nil {
+				fmt.Printf("  (charge of $%.2f for %q lost with the process: %v)\n", amount, job, err)
+			}
+		},
+		Counters: counters,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	disp, err := jobs.NewDispatcher(svc, tsa.NewScheduledJobRunner(tsa.ScheduledRunnerConfig{Scheduler: sched, Stream: stream}), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	disp.Start()
+	return svc, sched, disp
 }
 
-func (p slowPlatform) Publish(hit crowd.HIT, n int) (engine.Run, error) {
+// slowPlatform delays each HIT publication, simulating a marketplace
+// where assignments take real time, and counts the publications.
+type slowPlatform struct {
+	engine.CrowdPlatform
+	delay     time.Duration
+	published atomic.Int64
+}
+
+func (p *slowPlatform) Publish(hit crowd.HIT, n int) (engine.Run, error) {
+	p.published.Add(1)
 	time.Sleep(p.delay)
 	return p.CrowdPlatform.Publish(hit, n)
 }

@@ -1,5 +1,5 @@
 // SDK: boots a complete in-process CDAS server (job service +
-// dispatcher + concurrent HIT pipeline + v1 HTTP API) on a loopback
+// dispatcher + cross-query crowd scheduler + v1 HTTP API) on a loopback
 // port, then drives it purely through the cdas/client SDK — submit a
 // job, stream its Figure 4 live view over SSE with WatchQuery, page
 // through the job list with the auto-paginating iterator, and decode a
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"time"
 
 	"cdas/api"
@@ -23,6 +22,7 @@ import (
 	"cdas/internal/httpapi"
 	"cdas/internal/jobs"
 	"cdas/internal/metrics"
+	"cdas/internal/scheduler"
 	"cdas/internal/textgen"
 	"cdas/internal/tsa"
 )
@@ -49,24 +49,32 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	svc, err := jobs.OpenService(jobs.ServiceConfig{Counters: metrics.NewRegistry()})
+	counters := metrics.NewRegistry()
+	svc, err := jobs.OpenService(jobs.ServiceConfig{Counters: counters})
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
 	srv := httpapi.NewServer()
-	runner := tsa.NewJobRunner(tsa.RunnerConfig{
-		Platform: engine.CrowdPlatform{Platform: platform},
-		Stream:   stream,
-		Golden:   golden,
-		Engine:   engine.Config{HITSize: 20, MaxInflightHITs: 4, Seed: seed},
-		API:      srv,
+	sched, err := scheduler.New(scheduler.Config{
+		Platform:      engine.CrowdPlatform{Platform: platform},
+		Engine:        engine.Config{RequiredAccuracy: 0.9, HITSize: 20, MaxInflightHITs: 4, Seed: seed},
+		Golden:        tsa.GoldenQuestions(golden),
+		FlushInterval: 50 * time.Millisecond,
+		Counters:      counters,
 	})
+	if err != nil {
+		return err
+	}
+	defer sched.Close()
+	runner := tsa.NewScheduledJobRunner(tsa.ScheduledRunnerConfig{Scheduler: sched, Stream: stream, API: srv})
 	disp, err := jobs.NewDispatcher(svc, runner, 2)
 	if err != nil {
 		return err
 	}
 	srv.SetJobs(disp)
+	srv.SetCounters(counters)
+	srv.SetScheduler(sched)
 	disp.Start()
 	defer disp.Stop()
 
@@ -104,8 +112,9 @@ func run() error {
 		}
 	}
 
-	// Stream the first movie's live view: every revision the answers
-	// produce, pushed over SSE, ending with the terminal done event.
+	// Stream the first movie's live view over SSE until the terminal
+	// done event. The scheduler answers a job once its generation has
+	// flushed, so the run publishes one revision: its final state.
 	fmt.Printf("watching %q:\n", movies[0])
 	events, err := c.WatchQuery(ctx, movies[0])
 	if err != nil {
@@ -138,14 +147,6 @@ func run() error {
 	if errors.As(err, &apiErr) {
 		fmt.Printf("\ntyped error for a missing job: code=%s status=%d\n", apiErr.Code, apiErr.Status)
 	}
-
-	// The deprecated pre-v1 routes still answer, flagged as such.
-	resp, err := http.Get(base + "/api/queries")
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	fmt.Printf("legacy /api/queries: %d with Deprecation: %s\n", resp.StatusCode, resp.Header.Get("Deprecation"))
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -99,6 +100,17 @@ func TestResultSetDedupsVariants(t *testing.T) {
 	if len(items) != 1 || items[0].Text != "blue whale" || items[0].Count != 2 || items[0].Batch != 0 {
 		t.Fatalf("items = %+v", items)
 	}
+
+	// Case folds as in question keys: lower-casing alone keeps µ from
+	// its upper case Μ (→ μ), and final ς from Σ (→ σ).
+	for _, pair := range [][2]string{{"µ", "Μ"}, {"λόγος", "ΛΌΓΟΣ"}} {
+		set := NewResultSet()
+		k1, _ := set.Observe(pair[0], 0)
+		k2, isNew := set.Observe(pair[1], 1)
+		if k1 != k2 || isNew || set.Distinct() != 1 {
+			t.Errorf("%q and %q are two items: keys %q, %q", pair[0], pair[1], k1, k2)
+		}
+	}
 }
 
 func TestResultSetRoundTrip(t *testing.T) {
@@ -122,6 +134,37 @@ func TestResultSetRoundTrip(t *testing.T) {
 	}
 	if empty := RestoreResultSet(nil); empty.Distinct() != 0 || empty.Contributions() != 0 {
 		t.Fatal("nil restore not empty")
+	}
+
+	// A snapshot written before keys folded case holds one item under
+	// several keys. The restore re-keys each entry by its display text
+	// and merges those that now coincide: counts summed, the earliest
+	// first batch and its display kept (the smaller display on a tie).
+	old := &jobs.EnumProgress{
+		Counts:        map[string]int{"old-micro": 2, "old-mu": 3, "old-final": 1, "old-sigma": 4, "old-whale": 1},
+		Display:       map[string]string{"old-micro": "µ", "old-mu": "μ", "old-final": "λόγος", "old-sigma": "λόγοσ", "old-whale": "blue whale"},
+		FirstBatch:    map[string]int{"old-micro": 1, "old-mu": 0, "old-final": 2, "old-sigma": 2, "old-whale": 3},
+		Contributions: 11,
+	}
+	merged := RestoreResultSet(old)
+	want := []Item{
+		{Key: scheduler.ItemKey("blue whale"), Text: "blue whale", Count: 1, Batch: 3},
+		{Key: scheduler.ItemKey("λόγος"), Text: "λόγος", Count: 5, Batch: 2},
+		{Key: scheduler.ItemKey("µ"), Text: "μ", Count: 5, Batch: 0},
+	}
+	if got := merged.Items(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged restore = %+v, want %+v", got, want)
+	}
+	if merged.Contributions() != 11 {
+		t.Errorf("contributions = %d, want 11", merged.Contributions())
+	}
+	// The next batch counts onto the merged item, and the snapshot it
+	// writes holds each item once.
+	if _, isNew := merged.Observe("Μ", 4); isNew {
+		t.Error("a restored item was discovered again")
+	}
+	if p := merged.Progress(); len(p.Counts) != 3 || p.Counts[scheduler.ItemKey("µ")] != 6 {
+		t.Errorf("rewritten snapshot counts = %v", p.Counts)
 	}
 }
 

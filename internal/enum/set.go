@@ -44,21 +44,27 @@ func NewResultSet() *ResultSet {
 }
 
 // RestoreResultSet rebuilds a set from a durable snapshot; nil restores
-// an empty set.
+// an empty set. Each entry is re-keyed by the ItemKey of its display
+// text, so a snapshot written under an older canonicalisation resumes
+// under today's: entries that now name one item merge, their counts
+// summed, keeping the earliest first batch and its display text (the
+// smaller text on a tie).
 func RestoreResultSet(p *jobs.EnumProgress) *ResultSet {
 	s := NewResultSet()
 	if p == nil {
 		return s
 	}
 	s.n = p.Contributions
-	for k, v := range p.Counts {
-		s.counts[k] = v
-	}
-	for k, v := range p.Display {
-		s.display[k] = v
-	}
-	for k, v := range p.FirstBatch {
-		s.first[k] = v
+	for old, count := range p.Counts {
+		display, first := p.Display[old], p.FirstBatch[old]
+		key := scheduler.ItemKey(display)
+		if prev, seen := s.counts[key]; seen {
+			count += prev
+			if f, d := s.first[key], s.display[key]; f < first || (f == first && d < display) {
+				first, display = f, d
+			}
+		}
+		s.counts[key], s.display[key], s.first[key] = count, display, first
 	}
 	return s
 }

@@ -311,9 +311,6 @@ func (f *Fold) observe(oc Outcome, ids []uint32, hasText bool) {
 	}
 }
 
-// Items reports how many outcomes have been folded in.
-func (f *Fold) Items() int { return f.items }
-
 // Summary renders the current percentages-plus-reasons presentation.
 func (f *Fold) Summary() Summary {
 	perc := make(map[string]float64, len(f.domain))

@@ -95,7 +95,7 @@ func (h *e2eHarness) do(method, path string, body any) (*http.Response, []byte) 
 
 func (h *e2eHarness) jobStatus(name string) (JobStatus, int) {
 	h.t.Helper()
-	resp, body := h.do(http.MethodGet, "/jobs/"+name, nil)
+	resp, body := h.do(http.MethodGet, "/v1/jobs/"+name, nil)
 	if resp.StatusCode != http.StatusOK {
 		return JobStatus{}, resp.StatusCode
 	}
@@ -172,11 +172,11 @@ func testJobServiceEndToEnd(t *testing.T) {
 	h := &e2eHarness{t: t, ts: ts, client: ts.Client()}
 
 	// Submit alpha and follow its progress to completion.
-	resp, body := h.do(http.MethodPost, "/jobs", submission("alpha"))
+	resp, body := h.do(http.MethodPost, "/v1/jobs", submission("alpha"))
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /jobs = %d (%s)", resp.StatusCode, body)
+		t.Fatalf("POST /v1/jobs = %d (%s)", resp.StatusCode, body)
 	}
-	if loc := resp.Header.Get("Location"); loc != "/jobs/alpha" {
+	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/alpha" {
 		t.Errorf("Location = %q", loc)
 	}
 	st := h.waitCond("alpha", "running with progress", func(st JobStatus) bool {
@@ -192,7 +192,7 @@ func testJobServiceEndToEnd(t *testing.T) {
 	}
 
 	// Error surface: duplicates conflict, unknowns 404, junk 400.
-	if resp, _ := h.do(http.MethodPost, "/jobs", submission("alpha")); resp.StatusCode != http.StatusConflict {
+	if resp, _ := h.do(http.MethodPost, "/v1/jobs", submission("alpha")); resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate submit = %d, want 409", resp.StatusCode)
 	}
 	if _, code := h.jobStatus("nope"); code != http.StatusNotFound {
@@ -200,27 +200,27 @@ func testJobServiceEndToEnd(t *testing.T) {
 	}
 	bad := submission("bad-window")
 	bad.Window = "not a duration"
-	if resp, _ := h.do(http.MethodPost, "/jobs", bad); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := h.do(http.MethodPost, "/v1/jobs", bad); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad window = %d, want 400", resp.StatusCode)
 	}
 	invalid := submission("bad-query")
 	invalid.Domain = []string{"only-one"}
-	if resp, _ := h.do(http.MethodPost, "/jobs", invalid); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := h.do(http.MethodPost, "/v1/jobs", invalid); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid query = %d, want 400", resp.StatusCode)
 	}
 	// A name with a path separator could never be fetched or cancelled
-	// through /jobs/{name}; it must be rejected at the door.
+	// through /v1/jobs/{name}; it must be rejected at the door.
 	for _, name := range []string{"a/b", "..", "ctrl\x01char"} {
-		if resp, _ := h.do(http.MethodPost, "/jobs", submission(name)); resp.StatusCode != http.StatusBadRequest {
+		if resp, _ := h.do(http.MethodPost, "/v1/jobs", submission(name)); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST name %q = %d, want 400", name, resp.StatusCode)
 		}
 	}
 	// Names needing escaping round-trip (Location header and lookup).
-	resp, body = h.do(http.MethodPost, "/jobs", submission("spaced name"))
+	resp, body = h.do(http.MethodPost, "/v1/jobs", submission("spaced name"))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST spaced name = %d (%s)", resp.StatusCode, body)
 	}
-	if loc := resp.Header.Get("Location"); loc != "/jobs/spaced%20name" {
+	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/spaced%20name" {
 		t.Errorf("Location = %q, want escaped path", loc)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
@@ -233,7 +233,7 @@ func testJobServiceEndToEnd(t *testing.T) {
 	h.waitState("spaced name", api.JobDone)
 
 	// Cancel beta mid-flight.
-	if resp, body := h.do(http.MethodPost, "/jobs", submission("beta")); resp.StatusCode != http.StatusCreated {
+	if resp, body := h.do(http.MethodPost, "/v1/jobs", submission("beta")); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST beta = %d (%s)", resp.StatusCode, body)
 	}
 	// Wait for progress so the cancel definitively lands mid-run (a
@@ -242,7 +242,7 @@ func testJobServiceEndToEnd(t *testing.T) {
 	h.waitCond("beta", "running with progress", func(st JobStatus) bool {
 		return st.State == api.JobRunning && st.Progress > 0
 	})
-	if resp, body := h.do(http.MethodDelete, "/jobs/beta", nil); resp.StatusCode != http.StatusOK {
+	if resp, body := h.do(http.MethodDelete, "/v1/jobs/beta", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE beta = %d (%s)", resp.StatusCode, body)
 	}
 	st = h.waitState("beta", api.JobCancelled)
@@ -250,12 +250,12 @@ func testJobServiceEndToEnd(t *testing.T) {
 		t.Errorf("beta kept cost %v, want the 1.25 charged before cancel", st.Cost)
 	}
 	// Cancelling a terminal job conflicts.
-	if resp, _ := h.do(http.MethodDelete, "/jobs/alpha", nil); resp.StatusCode != http.StatusConflict {
+	if resp, _ := h.do(http.MethodDelete, "/v1/jobs/alpha", nil); resp.StatusCode != http.StatusConflict {
 		t.Errorf("DELETE done job = %d, want 409", resp.StatusCode)
 	}
 
 	// gamma is mid-flight when the server dies.
-	if resp, body := h.do(http.MethodPost, "/jobs", submission("gamma")); resp.StatusCode != http.StatusCreated {
+	if resp, body := h.do(http.MethodPost, "/v1/jobs", submission("gamma")); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST gamma = %d (%s)", resp.StatusCode, body)
 	}
 	// Wait for the progress event too: its WAL commit is what the
@@ -265,16 +265,16 @@ func testJobServiceEndToEnd(t *testing.T) {
 	})
 
 	// Metrics are served.
-	resp, body = h.do(http.MethodGet, "/api/metrics", nil)
+	resp, body = h.do(http.MethodGet, "/v1/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /api/metrics = %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics = %d", resp.StatusCode)
 	}
-	var counters map[string]int64
-	if err := json.Unmarshal(body, &counters); err != nil {
+	var m api.Metrics
+	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatal(err)
 	}
-	if counters[metrics.CounterJobsSubmitted] != 4 || counters[metrics.CounterJobsCompleted] != 2 {
-		t.Errorf("counters = %v", counters)
+	if m.Counters[metrics.CounterJobsSubmitted] != 4 || m.Counters[metrics.CounterJobsCompleted] != 2 {
+		t.Errorf("counters = %v", m.Counters)
 	}
 
 	// ---- kill -9: no dispatcher drain, no requeue — the WAL simply
@@ -336,16 +336,16 @@ func testJobServiceEndToEnd(t *testing.T) {
 	}
 
 	// The full listing agrees.
-	resp, body = h2.do(http.MethodGet, "/jobs", nil)
+	resp, body = h2.do(http.MethodGet, "/v1/jobs", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /jobs = %d", resp.StatusCode)
+		t.Fatalf("GET /v1/jobs = %d", resp.StatusCode)
 	}
-	var all []JobStatus
+	var all api.JobList
 	if err := json.Unmarshal(body, &all); err != nil {
 		t.Fatal(err)
 	}
 	states := map[string]api.JobState{}
-	for _, js := range all {
+	for _, js := range all.Jobs {
 		states[js.Name] = js.State
 	}
 	want := map[string]api.JobState{
@@ -364,19 +364,20 @@ func TestJobRoutesWithoutService(t *testing.T) {
 	defer ts.Close()
 	h := &e2eHarness{t: t, ts: ts, client: ts.Client()}
 	for _, probe := range []struct{ method, path string }{
-		{http.MethodPost, "/jobs"},
-		{http.MethodGet, "/jobs"},
-		{http.MethodGet, "/jobs/x"},
-		{http.MethodDelete, "/jobs/x"},
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodGet, "/v1/jobs"},
+		{http.MethodGet, "/v1/jobs/x"},
+		{http.MethodDelete, "/v1/jobs/x"},
 	} {
 		resp, _ := h.do(probe.method, probe.path, nil)
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("%s %s = %d, want 503", probe.method, probe.path, resp.StatusCode)
 		}
 	}
-	// Metrics without a registry: empty object, not a panic (nil-safe).
-	resp, body := h.do(http.MethodGet, "/api/metrics", nil)
-	if resp.StatusCode != http.StatusOK || string(bytes.TrimSpace(body)) != "{}" {
-		t.Errorf("GET /api/metrics = %d %q", resp.StatusCode, body)
+	// Metrics without a registry: no counters, not a panic (nil-safe).
+	resp, body := h.do(http.MethodGet, "/v1/metrics", nil)
+	var m api.Metrics
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &m) != nil || len(m.Counters) != 0 {
+		t.Errorf("GET /v1/metrics = %d %q", resp.StatusCode, body)
 	}
 }

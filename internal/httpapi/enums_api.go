@@ -34,22 +34,14 @@ func (s *Server) PublishEnumBatch(st api.EnumStatus, batch *api.EnumBatch) {
 	defer s.mu.Unlock()
 	if batch != nil {
 		st.LastBatch = batch
-	} else if prev, ok := s.enums[st.Name]; ok && st.LastBatch == nil {
+	} else if prev, rev := s.enums.get(st.Name); rev > 0 && st.LastBatch == nil {
 		st.LastBatch = prev.LastBatch
 	}
-	s.enums[st.Name] = st
-	s.enumRevs[st.Name]++
 	kind := api.EventBatch
-	if batch == nil {
-		kind = api.EventState
+	if batch == nil || st.Done {
+		kind = stateKind(st.Done)
 	}
-	if st.Done {
-		kind = api.EventDone
-	}
-	ev := feedEvent{rev: s.enumRevs[st.Name], kind: kind, data: api.EnumEvent{Batch: batch, State: st}}
-	for sub := range s.enumSubs[st.Name] {
-		sub.push(ev)
-	}
+	s.enums.publish(st.Name, st, kind, api.EnumEvent{Batch: batch, State: st})
 }
 
 // enumItemsDTO renders the discovered set onto the wire contract.
@@ -124,10 +116,10 @@ func enumStatusDTO(job jobs.Job, items []enum.Item, mark jobs.StreamMark, est st
 // surfaces its terminal error.
 func (s *Server) enumStatus(st jobs.Status) api.EnumStatus {
 	s.mu.RLock()
-	out, published := s.enums[st.Job.Name]
+	out, rev := s.enums.get(st.Job.Name)
 	ctl := s.jobsCtl
 	s.mu.RUnlock()
-	if !published {
+	if rev == 0 {
 		out = api.EnumStatus{
 			Name:     st.Job.Name,
 			Keywords: st.Job.Query.Keywords,
@@ -201,27 +193,6 @@ func (s *Server) v1GetEnum(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.enumStatus(st))
 }
 
-// enumRev returns an enumeration's current published state and revision.
-func (s *Server) enumRev(name string) (api.EnumStatus, int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.enums[name]
-	return st, s.enumRevs[name], ok
-}
-
-// subscribeEnum registers an SSE watcher on an enumeration's feed.
-func (s *Server) subscribeEnum(name string) *subscriber {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return subscribeIn(s.enumSubs, name)
-}
-
-func (s *Server) unsubscribeEnum(name string, sub *subscriber) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unsubscribeIn(s.enumSubs, name, sub)
-}
-
 // v1EnumEvents is GET /v1/enumerations/{name}/events: an SSE stream
 // pushing one "batch" event per completed HIT batch (newly discovered
 // items and the refreshed estimate attached), a "state" replay on
@@ -233,29 +204,14 @@ func (s *Server) v1EnumEvents(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.lookupEnum(w, name); !ok {
 		return
 	}
-	s.runSSE(w, r, name,
-		func() (*subscriber, func()) {
-			sub := s.subscribeEnum(name)
-			return sub, func() { s.unsubscribeEnum(name, sub) }
-		},
-		func(lastSeen int64, send func(feedEvent) bool) bool {
-			cur, rev, published := s.enumRev(name)
-			if published && (rev > lastSeen || cur.Done) {
-				kind := api.EventState
-				if cur.Done {
-					kind = api.EventDone
-				}
-				return send(feedEvent{rev: rev, kind: kind, data: api.EnumEvent{State: cur}})
-			}
-			return true
-		},
-		func(st jobs.Status, send func(feedEvent) bool) {
+	serveFeed(s, w, r, s.enums, name,
+		func(st api.EnumStatus) (string, any) { return stateKind(st.Done), api.EnumEvent{State: st} },
+		func(_ api.EnumStatus, job jobs.Status) any {
 			// The job is terminal but never published a done event (a
 			// failure before the first batch, or a cancel): synthesize
 			// one from the merged view so watchers never hang.
-			final := s.enumStatus(st)
+			final := s.enumStatus(job)
 			final.Done = true
-			_, rev, _ := s.enumRev(name)
-			send(feedEvent{rev: rev, kind: api.EventDone, data: api.EnumEvent{State: final}})
+			return api.EnumEvent{State: final}
 		})
 }

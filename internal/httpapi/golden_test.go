@@ -2,11 +2,8 @@ package httpapi
 
 import (
 	"flag"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -18,7 +15,7 @@ import (
 
 // update rewrites the golden files instead of comparing against them:
 //
-//	go test ./internal/httpapi/ -run TestGolden -update
+//	go test ./internal/httpapi/ -run TestV1Golden -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenController serves a fixed set of job records.
@@ -192,70 +189,12 @@ func goldenServer() *Server {
 	return s
 }
 
-// TestGoldenResponses locks every JSON response shape to a golden file:
-// API drift shows up as a diff, not as a silently changed contract.
-func TestGoldenResponses(t *testing.T) {
-	ts := httptest.NewServer(goldenServer().Handler())
-	defer ts.Close()
-	cases := []struct {
-		golden string
-		method string
-		path   string
-	}{
-		{"jobs_list.golden", http.MethodGet, "/jobs"},
-		{"jobs_get.golden", http.MethodGet, "/jobs/panda"},
-		{"jobs_get_parked.golden", http.MethodGet, "/jobs/strapped"},
-		{"metrics.golden", http.MethodGet, "/api/metrics"},
-		{"scheduler.golden", http.MethodGet, "/api/scheduler"},
-		{"queries.golden", http.MethodGet, "/api/queries"},
-		{"query.golden", http.MethodGet, "/api/query?name=panda"},
-	}
-	for _, c := range cases {
-		t.Run(c.golden, func(t *testing.T) {
-			req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := ts.Client().Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s %s: status %d", c.method, c.path, resp.StatusCode)
-			}
-			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-				t.Errorf("Content-Type = %q, want application/json", ct)
-			}
-			body, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", c.golden)
-			if *update {
-				if err := os.WriteFile(path, body, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if string(body) != string(want) {
-				t.Errorf("%s %s drifted from %s:\n got: %s\nwant: %s",
-					c.method, c.path, path, body, want)
-			}
-		})
-	}
-}
-
 // TestGoldenUnattachedRoutes locks the 503 contract for servers missing
 // their backends.
 func TestGoldenUnattachedRoutes(t *testing.T) {
 	ts := httptest.NewServer(NewServer().Handler())
 	defer ts.Close()
-	for _, path := range []string{"/jobs", "/api/scheduler"} {
+	for _, path := range []string{"/v1/jobs", "/v1/scheduler"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

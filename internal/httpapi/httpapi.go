@@ -6,9 +6,7 @@
 // routes speaking the typed wire contract of the top-level api package,
 // structured api.Error envelopes on every error path, pagination on job
 // lists, and an SSE stream pushing each QueryState revision as answers
-// arrive (sse.go). The pre-v1 routes remain mounted as thin deprecated
-// aliases (a Deprecation header points at the successor) so existing
-// consumers keep working.
+// arrive (sse.go).
 package httpapi
 
 import (
@@ -20,7 +18,6 @@ import (
 	"sync"
 
 	"cdas/api"
-	"cdas/internal/engine"
 	"cdas/internal/exec"
 	"cdas/internal/metrics"
 )
@@ -35,34 +32,22 @@ type QueryState = api.QueryState
 // API (POST/GET/DELETE jobs) and a counter registry with SetCounters
 // for the metrics routes.
 type Server struct {
-	mu         sync.RWMutex
-	queries    map[string]QueryState
-	revs       map[string]int64
-	subs       map[string]map[*subscriber]struct{}
-	streams    map[string]api.StreamStatus
-	streamRevs map[string]int64
-	streamSubs map[string]map[*subscriber]struct{}
-	enums      map[string]api.EnumStatus
-	enumRevs   map[string]int64
-	enumSubs   map[string]map[*subscriber]struct{}
-	jobsCtl    JobController
-	counters   *metrics.Registry
-	sched      SchedulerReporter
-	logf       func(format string, args ...any)
+	mu       sync.RWMutex
+	queries  feed[QueryState]
+	streams  feed[api.StreamStatus]
+	enums    feed[api.EnumStatus]
+	jobsCtl  JobController
+	counters *metrics.Registry
+	sched    SchedulerReporter
+	logf     func(format string, args ...any)
 }
 
 // NewServer returns an empty Server.
 func NewServer() *Server {
 	return &Server{
-		queries:    make(map[string]QueryState),
-		revs:       make(map[string]int64),
-		subs:       make(map[string]map[*subscriber]struct{}),
-		streams:    make(map[string]api.StreamStatus),
-		streamRevs: make(map[string]int64),
-		streamSubs: make(map[string]map[*subscriber]struct{}),
-		enums:      make(map[string]api.EnumStatus),
-		enumRevs:   make(map[string]int64),
-		enumSubs:   make(map[string]map[*subscriber]struct{}),
+		queries: make(feed[QueryState]),
+		streams: make(feed[api.StreamStatus]),
+		enums:   make(feed[api.EnumStatus]),
 	}
 }
 
@@ -89,12 +74,7 @@ func (s *Server) Update(st QueryState) {
 }
 
 func (s *Server) updateLocked(st QueryState) {
-	s.queries[st.Name] = st
-	s.revs[st.Name]++
-	ev := feedEvent{rev: s.revs[st.Name], kind: queryKind(st), data: st}
-	for sub := range s.subs[st.Name] {
-		sub.push(ev)
-	}
+	s.queries.publish(st.Name, st, stateKind(st.Done), st)
 }
 
 // UpdateFromSummary is a convenience wrapper building a QueryState from
@@ -113,79 +93,25 @@ func (s *Server) UpdateFromSummary(name string, sum exec.Summary, progress float
 	})
 }
 
-// Follow consumes one query's concurrent-pipeline stream, republishing
-// the running summary after every finished HIT and marking the query done
-// when the stream closes — Figure 4's live view fed directly by
-// Engine.Stream. It blocks until the channel closes (run it in its own
-// goroutine for a live page), always drains the channel, and returns the
-// finished batches ordered by batch index together with the first batch
-// error encountered.
-//
-// fold accumulates the summary, reading each verdict's item content
-// tokens from tokens (see Fold.ObserveResults); totalItems, when
-// positive, drives the progress fraction.
-func (s *Server) Follow(name string, fold *exec.Fold, tokens func(itemID string) ([]uint32, bool), totalItems int, ch <-chan engine.StreamResult) ([]engine.BatchResult, error) {
-	byIndex := make(map[int]engine.BatchResult)
-	var firstErr error
-	for sr := range ch {
-		if sr.Err != nil {
-			if firstErr == nil {
-				firstErr = sr.Err
-			}
-			continue
-		}
-		byIndex[sr.Index] = sr.Batch
-		fold.ObserveResults(sr.Batch.Results, tokens)
-		s.UpdateFromSummary(name, fold.Summary(), followProgress(fold.Items(), totalItems, false), false)
-	}
-	// The stream is over either way, but a failed or cancelled query must
-	// not present as 100% complete: keep the real progress and surface
-	// the error on the state.
-	sum := fold.Summary()
-	final := QueryState{
-		Name:        name,
-		Domain:      sum.Domain,
-		Percentages: sum.Percentages,
-		Reasons:     sum.Reasons,
-		Items:       sum.Items,
-		Progress:    followProgress(fold.Items(), totalItems, firstErr == nil),
-		Done:        true,
-		Confidence:  sum.Confidence,
-		Quality:     sum.Quality,
-	}
-	if firstErr != nil {
-		final.Error = firstErr.Error()
-	}
-	s.Update(final)
-	indices := make([]int, 0, len(byIndex))
-	for i := range byIndex {
-		indices = append(indices, i)
-	}
-	sort.Ints(indices)
-	batches := make([]engine.BatchResult, 0, len(byIndex))
-	for _, i := range indices {
-		batches = append(batches, byIndex[i])
-	}
-	return batches, firstErr
-}
-
 // Get returns a query's state.
 func (s *Server) Get(name string) (QueryState, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st, ok := s.queries[name]
-	return st, ok
+	st, rev := s.queries.get(name)
+	return st, rev > 0
 }
 
-// Names lists registered queries, sorted.
-func (s *Server) Names() []string {
+// queryStates lists the published query states, sorted by name.
+func (s *Server) queryStates() []QueryState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.queries))
-	for n := range s.queries {
-		out = append(out, n)
+	out := make([]QueryState, 0, len(s.queries))
+	for _, e := range s.queries {
+		if e.rev > 0 {
+			out = append(out, e.state)
+		}
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -208,24 +134,12 @@ func (s *Server) Names() []string {
 //
 // plus the deprecated /v1/streams group (POST/GET/DELETE /v1/streams...,
 // historical bodies with a Deprecation header; submission's successor is
-// the kind-discriminated POST /v1/jobs), GET / (HTML overview) and the
-// deprecated pre-v1 aliases (/api/queries, /api/query, /api/metrics,
-// /api/scheduler, /jobs...), which serve their historical shapes with a
-// Deprecation header.
+// the kind-discriminated POST /v1/jobs) and GET / (HTML overview).
 // Requests flow through the middleware chain: request ID, panic
 // recovery into a 500 envelope, and optional access logging (SetLogf).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.mountV1(mux)
-	mux.HandleFunc("GET /api/queries", deprecated("/v1/queries", s.handleList))
-	mux.HandleFunc("GET /api/query", deprecated("/v1/queries/{name}", s.handleQuery))
-	mux.HandleFunc("GET /api/metrics", deprecated("/v1/metrics", s.handleMetrics))
-	mux.HandleFunc("GET /api/scheduler", deprecated("/v1/scheduler", s.handleScheduler))
-	mux.HandleFunc("POST /jobs", deprecated("/v1/jobs", s.handleSubmitJob))
-	mux.HandleFunc("GET /jobs", deprecated("/v1/jobs", s.handleListJobs))
-	mux.HandleFunc("GET /jobs/{name}", deprecated("/v1/jobs/{name}", s.handleGetJob))
-	mux.HandleFunc("DELETE /jobs/{name}", deprecated("/v1/jobs/{name}", s.handleCancelJob))
-	mux.HandleFunc("POST /jobs/{name}/unpark", deprecated("/v1/jobs/{name}:unpark", s.handleUnparkJob))
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 	return s.middleware(mux)
 }
@@ -241,45 +155,13 @@ func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Names())
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	st, ok := s.Get(name)
-	if !ok {
-		writeError(w, api.NotFound("no such query %q", name))
-		return
-	}
-	writeJSON(w, st)
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	states := make([]QueryState, 0, len(s.queries))
-	for _, n := range s.Names() {
-		states = append(states, s.queries[n])
-	}
-	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := indexTemplate.Execute(w, states); err != nil {
+	if err := indexTemplate.Execute(w, s.queryStates()); err != nil {
 		if logf := s.logfn(); logf != nil {
 			logf("httpapi: rendering index: %v", err)
 		}
 	}
-}
-
-// followProgress is the fraction Follow reports: observed items over the
-// expectation, 1 for a complete healthy stream with no expectation set.
-func followProgress(items, totalItems int, complete bool) float64 {
-	if totalItems > 0 {
-		return min(float64(items)/float64(totalItems), 1)
-	}
-	if complete {
-		return 1
-	}
-	return 0
 }
 
 // writeJSON serves v with status 200.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"cdas/api"
 	"cdas/internal/exec"
 )
 
@@ -32,9 +33,8 @@ func TestUpdateAndGet(t *testing.T) {
 	if _, ok := s.Get("missing"); ok {
 		t.Error("missing query found")
 	}
-	names := s.Names()
-	if len(names) != 1 || names[0] != "Kung Fu Panda 2" {
-		t.Errorf("Names = %v", names)
+	if states := s.queryStates(); len(states) != 1 || states[0].Name != "Kung Fu Panda 2" {
+		t.Errorf("queryStates = %+v", states)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestQueryEndpoint(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/query?name=Kung+Fu+Panda+2")
+	resp, err := http.Get(srv.URL + "/v1/queries/Kung%20Fu%20Panda%202")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestQueryEndpoint(t *testing.T) {
 func TestQueryEndpointNotFound(t *testing.T) {
 	srv := httptest.NewServer(NewServer().Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/query?name=nope")
+	resp, err := http.Get(srv.URL + "/v1/queries/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,17 +94,17 @@ func TestListEndpoint(t *testing.T) {
 	s.Update(demoState())
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/queries")
+	resp, err := http.Get(srv.URL + "/v1/queries")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var names []string
-	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
+	var list api.QueryList
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 {
-		t.Errorf("names = %v", names)
+	if len(list.Queries) != 1 || list.Queries[0].Name != "Kung Fu Panda 2" {
+		t.Errorf("queries = %+v", list.Queries)
 	}
 }
 

@@ -1,8 +1,6 @@
 // Write API for the durable job service: submit, inspect and cancel
 // analytics jobs over HTTP. The DTOs are the cdas/api wire contract;
-// the legacy /jobs routes here serve the same shapes they always did
-// (now with a Deprecation header), while v1.go mounts the versioned
-// successors.
+// v1.go mounts the routes.
 package httpapi
 
 import (
@@ -45,7 +43,7 @@ func (s *Server) SetJobs(c JobController) {
 }
 
 // SetCounters attaches an operational-counter registry served at
-// GET /v1/metrics (and the deprecated /api/metrics).
+// GET /v1/metrics.
 func (s *Server) SetCounters(r *metrics.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,13 +86,8 @@ func (s *Server) jobStatus(st jobs.Status) JobStatus {
 	return out
 }
 
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	s.submitJob(w, r, "/jobs/")
-}
-
-// submitJob is the shared submit implementation; locPrefix distinguishes
-// the v1 and legacy Location headers.
-func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, locPrefix string) {
+// v1SubmitJob is POST /v1/jobs: decode, validate and register one job.
+func (s *Server) v1SubmitJob(w http.ResponseWriter, r *http.Request) {
 	ctl, ok := s.requireJobs(w)
 	if !ok {
 		return
@@ -135,7 +128,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, locPrefix str
 	st, _ := ctl.Status(job.Name)
 	// writeJSONStatus sets Content-Type exactly once, before the status
 	// line freezes the headers.
-	w.Header().Set("Location", locPrefix+url.PathEscape(job.Name))
+	w.Header().Set("Location", "/v1/jobs/"+url.PathEscape(job.Name))
 	writeJSONStatus(w, http.StatusCreated, s.jobStatus(st))
 }
 
@@ -154,64 +147,4 @@ func checkJobName(name string) error {
 		}
 	}
 	return nil
-}
-
-func (s *Server) handleListJobs(w http.ResponseWriter, _ *http.Request) {
-	ctl, ok := s.requireJobs(w)
-	if !ok {
-		return
-	}
-	// The legacy route's contract is the full unfiltered listing; build
-	// it by paging the index so even this route never asks the service
-	// to materialize the whole table in one call.
-	out := []JobStatus{}
-	after := ""
-	for {
-		page, more := ctl.StatusesPage(after, maxPageSize, "", "")
-		for _, st := range page {
-			out = append(out, s.jobStatus(st))
-		}
-		if !more {
-			break
-		}
-		after = page[len(page)-1].Job.Name
-	}
-	writeJSON(w, out)
-}
-
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	ctl, ok := s.requireJobs(w)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	st, ok := ctl.Status(name)
-	if !ok {
-		writeError(w, api.NotFound("no such job %q", name))
-		return
-	}
-	writeJSON(w, s.jobStatus(st))
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	ctl, ok := s.requireJobs(w)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if err := ctl.Cancel(name); err != nil {
-		// Cancelling an already-terminal job is the same structured 409
-		// envelope the v1 route serves — consistent on both surfaces.
-		writeError(w, jobError(err))
-		return
-	}
-	st, _ := ctl.Status(name)
-	writeJSON(w, s.jobStatus(st))
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	reg := s.counters
-	s.mu.RUnlock()
-	writeJSON(w, reg.Snapshot())
 }

@@ -1,16 +1,9 @@
-// Read API for the cross-query crowd scheduler: the deprecated
-// GET /api/scheduler reports batching, dedup-cache and budget state in
-// the scheduler's native shape (v1.go serves the typed api.SchedulerState
-// at GET /v1/scheduler), and POST /jobs/{name}/unpark is the deprecated
-// alias of POST /v1/jobs/{name}:unpark.
+// The cross-query crowd scheduler behind GET /v1/scheduler (v1.go
+// serves its batching, dedup-cache and budget state as the typed
+// api.SchedulerState).
 package httpapi
 
-import (
-	"net/http"
-
-	"cdas/api"
-	"cdas/internal/scheduler"
-)
+import "cdas/internal/scheduler"
 
 // SchedulerReporter is the slice of the scheduler the API needs.
 // *scheduler.Scheduler satisfies it.
@@ -24,29 +17,4 @@ func (s *Server) SetScheduler(r SchedulerReporter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sched = r
-}
-
-func (s *Server) handleScheduler(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	sched := s.sched
-	s.mu.RUnlock()
-	if sched == nil {
-		writeError(w, api.Unavailable("no scheduler attached"))
-		return
-	}
-	writeJSON(w, sched.State())
-}
-
-func (s *Server) handleUnparkJob(w http.ResponseWriter, r *http.Request) {
-	ctl, ok := s.requireJobs(w)
-	if !ok {
-		return
-	}
-	name := r.PathValue("name")
-	if err := ctl.Unpark(name); err != nil {
-		writeError(w, jobError(err))
-		return
-	}
-	st, _ := ctl.Status(name)
-	writeJSON(w, s.jobStatus(st))
 }

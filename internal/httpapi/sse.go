@@ -2,19 +2,23 @@
 // QueryState revision to connected clients as answers arrive — the
 // paper's Figure 4 live view as a push stream instead of a poll loop.
 //
-// Fan-out design: Server.Update assigns each query a monotonically
-// increasing revision and offers the new state to every subscriber's
-// buffered channel. A slow consumer never blocks Update (or other
-// subscribers): when a subscriber's buffer is full the oldest pending
-// revision is dropped — intermediate states are snapshots, so skipping
-// one loses nothing the next event doesn't restate. The event id is the
-// revision, so a reconnecting client's Last-Event-ID suppresses the
-// initial replay when it has already seen the current state.
+// All three SSE kinds — queries, streams and enumerations — are one
+// feed type and one serve loop. A feed keeps, per job name, the newest
+// state and its revision; publishing bumps the revision and offers the
+// event to every subscriber's buffered channel. A slow consumer never
+// blocks a publisher (or other subscribers): when a subscriber's buffer
+// is full the oldest pending revision is dropped — every event carries
+// the full state, so skipping one loses no state the next event doesn't
+// restate (a stream window's or an enumeration batch's own delta is
+// lost, though). The event id is the revision, so a reconnecting
+// client's Last-Event-ID suppresses the initial replay when it has
+// already seen the current state.
 //
-// The subscriber queue and the serve loop here are shared by all three
-// SSE feeds — queries, streams and enumerations. Each feed supplies its
-// own replay and dead-job synthesis; the Last-Event-ID handling, the
-// drop-oldest queue and the terminal-ticker logic exist once.
+// Delivery order: subscribe returns the state the subscription starts
+// from under the same lock publishers take, and that state is the
+// replay. Every event queued afterwards is newer, so the ids a client
+// sees strictly increase, and the last published state is the last
+// event it receives.
 package httpapi
 
 import (
@@ -61,70 +65,76 @@ func (sub *subscriber) push(ev feedEvent) {
 	}
 }
 
-// subscribeIn registers a new subscriber in a feed's name-indexed
-// subscriber sets. Callers hold s.mu.
-func subscribeIn(subs map[string]map[*subscriber]struct{}, name string) *subscriber {
-	sub := &subscriber{ch: make(chan feedEvent, subscriberBuffer)}
-	set, exists := subs[name]
-	if !exists {
-		set = make(map[*subscriber]struct{})
-		subs[name] = set
-	}
-	set[sub] = struct{}{}
-	return sub
+// feed is one SSE kind's published states, keyed by job name. Every
+// method is called under s.mu (get under the read lock is enough).
+type feed[T any] map[string]feedEntry[T]
+
+// feedEntry is one name's newest state, its revision (0 until the first
+// publish) and its subscribers (nil until someone subscribes).
+type feedEntry[T any] struct {
+	state T
+	rev   int64
+	subs  map[*subscriber]struct{}
 }
 
-// unsubscribeIn removes sub. The channel is abandoned, not closed:
-// pushes happen under s.mu, so after removal nothing sends, and the
-// garbage collector reclaims it with the handler. Callers hold s.mu.
-func unsubscribeIn(subs map[string]map[*subscriber]struct{}, name string, sub *subscriber) {
-	set := subs[name]
-	delete(set, sub)
-	if len(set) == 0 {
-		delete(subs, name)
+// publish stores st as name's newest state under the next revision and
+// pushes the event of that revision to every subscriber.
+func (f feed[T]) publish(name string, st T, kind string, data any) {
+	e := f[name]
+	e.state = st
+	e.rev++
+	f[name] = e
+	ev := feedEvent{rev: e.rev, kind: kind, data: data}
+	for sub := range e.subs {
+		sub.push(ev)
 	}
 }
 
-// queryKind maps a query state onto its SSE event type.
-func queryKind(st QueryState) string {
-	if st.Done {
-		return api.EventDone
-	}
-	return api.EventState
+// get returns name's newest state and its revision; revision 0 means
+// nothing has been published.
+func (f feed[T]) get(name string) (T, int64) {
+	e := f[name]
+	return e.state, e.rev
 }
 
 // subscribe registers a new subscriber for name and returns it with the
-// query's current state and revision (rev 0, ok false when the query
-// has not published yet).
-func (s *Server) subscribe(name string) (sub *subscriber, cur QueryState, rev int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sub = subscribeIn(s.subs, name)
-	cur, ok = s.queries[name]
-	return sub, cur, s.revs[name], ok
+// state and revision it starts from: every event later pushed to it
+// carries a higher revision.
+func (f feed[T]) subscribe(name string) (*subscriber, T, int64) {
+	sub := &subscriber{ch: make(chan feedEvent, subscriberBuffer)}
+	e := f[name]
+	if e.subs == nil {
+		e.subs = make(map[*subscriber]struct{})
+		f[name] = e
+	}
+	e.subs[sub] = struct{}{}
+	return sub, e.state, e.rev
 }
 
-// unsubscribe removes sub from the query feed.
-func (s *Server) unsubscribe(name string, sub *subscriber) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unsubscribeIn(s.subs, name, sub)
+// unsubscribe removes sub. The channel is abandoned, not closed: pushes
+// happen under s.mu, so after removal nothing sends, and the garbage
+// collector reclaims it with the handler. An entry that never published
+// existed only for its subscribers and goes with the last of them.
+func (f feed[T]) unsubscribe(name string, sub *subscriber) {
+	e := f[name]
+	delete(e.subs, sub)
+	switch {
+	case len(e.subs) > 0:
+	case e.rev == 0:
+		delete(f, name)
+	default:
+		e.subs = nil
+		f[name] = e
+	}
 }
 
-// queryRev returns a query's current state and revision.
-func (s *Server) queryRev(name string) (QueryState, int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.queries[name]
-	return st, s.revs[name], ok
-}
-
-// subscriberCount reports how many SSE clients follow name — the
-// goroutine-leak probe for tests.
-func (s *Server) subscriberCount(name string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.subs[name])
+// stateKind is the SSE event type of a snapshot: done for a terminal
+// state, state otherwise.
+func stateKind(done bool) string {
+	if done {
+		return api.EventDone
+	}
+	return api.EventState
 }
 
 // knownQuery reports whether name identifies a published query or a
@@ -141,17 +151,15 @@ func (s *Server) knownQuery(name string) bool {
 	return false
 }
 
-// runSSE drives one SSE connection for any feed: Last-Event-ID parsing,
-// stream headers, the replay-then-follow loop, and the dead-job ticker.
-// replay sends the initial snapshot (honouring lastSeen) and reports
-// whether to keep serving; synthesize sends the terminal event for a
-// job that reached a terminal lifecycle state without publishing one.
-// send returns false once the stream should close (done event sent, or
-// the client went away).
-func (s *Server) runSSE(w http.ResponseWriter, r *http.Request, name string,
-	subscribe func() (*subscriber, func()),
-	replay func(lastSeen int64, send func(feedEvent) bool) bool,
-	synthesize func(st jobs.Status, send func(feedEvent) bool),
+// serveFeed drives one SSE connection on name's entry in f: Last-Event-ID
+// parsing, stream headers, the replay, the follow loop and the dead-job
+// ticker. snapshot frames a state as the replayed event; synthesize
+// returns the payload of the done event for a job that reached a
+// terminal lifecycle state without publishing one, given the newest
+// published state (the zero T when there is none).
+func serveFeed[T any](s *Server, w http.ResponseWriter, r *http.Request, f feed[T], name string,
+	snapshot func(st T) (kind string, data any),
+	synthesize func(cur T, job jobs.Status) any,
 ) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -168,8 +176,14 @@ func (s *Server) runSSE(w http.ResponseWriter, r *http.Request, name string,
 		lastSeen = id
 	}
 
-	sub, cleanup := subscribe()
-	defer cleanup()
+	s.mu.Lock()
+	sub, cur, rev := f.subscribe(name)
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		f.unsubscribe(name, sub)
+		s.mu.Unlock()
+	}()
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -186,8 +200,15 @@ func (s *Server) runSSE(w http.ResponseWriter, r *http.Request, name string,
 		return ev.kind != api.EventDone
 	}
 
-	if !replay(lastSeen, send) {
-		return
+	// Replay the state the subscription started from unless the client
+	// proved it has it. A terminal state is always (re-)sent: a client
+	// resuming after the done event must get a clean close, not an
+	// eternal hang waiting for revisions that never come.
+	if rev > 0 {
+		kind, data := snapshot(cur)
+		if (rev > lastSeen || kind == api.EventDone) && !send(feedEvent{rev: rev, kind: kind, data: data}) {
+			return
+		}
 	}
 	// Not every terminal job publishes a final event: a run that fails
 	// before buying any answers (no matching items, permanent config
@@ -225,7 +246,10 @@ func (s *Server) runSSE(w http.ResponseWriter, r *http.Request, name string,
 				continue
 			default:
 			}
-			synthesize(st, send)
+			s.mu.RLock()
+			cur, rev := f.get(name)
+			s.mu.RUnlock()
+			send(feedEvent{rev: rev, kind: api.EventDone, data: synthesize(cur, st)})
 			return
 		}
 	}
@@ -247,35 +271,18 @@ func (s *Server) v1QueryEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.NotFound("no such query %q", name))
 		return
 	}
-	s.runSSE(w, r, name,
-		func() (*subscriber, func()) {
-			sub, _, _, _ := s.subscribe(name)
-			return sub, func() { s.unsubscribe(name, sub) }
-		},
-		func(lastSeen int64, send func(feedEvent) bool) bool {
-			// Replay the current state unless the client proved it has
-			// it. A terminal state is always (re-)sent: a client
-			// resuming after the done event must get a clean close, not
-			// an eternal hang waiting for revisions that never come.
-			cur, rev, published := s.queryRev(name)
-			if published && (rev > lastSeen || cur.Done) {
-				return send(feedEvent{rev: rev, kind: queryKind(cur), data: cur})
-			}
-			return true
-		},
-		func(st jobs.Status, send func(feedEvent) bool) {
+	serveFeed(s, w, r, s.queries, name,
+		func(st QueryState) (string, any) { return stateKind(st.Done), st },
+		func(cur QueryState, job jobs.Status) any {
 			// Synthesize the terminal event from whatever the run
 			// published: partial results stay visible (events are
 			// full-state snapshots), only Done and the job error are
 			// stamped on.
-			cur, rev, published := s.queryRev(name)
-			if !published {
-				cur = QueryState{Name: name}
-			}
+			cur.Name = name
 			if !cur.Done {
 				cur.Done = true
-				cur.Error = st.Error
+				cur.Error = job.Error
 			}
-			send(feedEvent{rev: rev, kind: queryKind(cur), data: cur})
+			return cur
 		})
 }

@@ -2,9 +2,7 @@ package httpapi
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,8 +12,6 @@ import (
 	"time"
 
 	"cdas/api"
-	"cdas/internal/crowd"
-	"cdas/internal/engine"
 	"cdas/internal/jobs"
 )
 
@@ -86,85 +82,35 @@ func openStream(t *testing.T, client *http.Client, url string, lastEventID int64
 	return resp, sc
 }
 
-// TestSSEStreamsLiveQuery drives a real concurrent pipeline through
-// Follow while an SSE client watches: the client must receive the
-// initial replay, at least one intermediate state event with
-// monotonically progressing revisions, and the terminal done event.
+// TestSSEStreamsLiveQuery publishes query revisions right after an SSE
+// client connects: the client must receive the replay of the state it
+// subscribed at, every intermediate revision with increasing ids, and
+// the terminal done event.
 func TestSSEStreamsLiveQuery(t *testing.T) {
-	cfg := crowd.DefaultConfig(51)
-	cfg.Workers = 200
-	sim, err := crowd.NewPlatform(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(engine.CrowdPlatform{Platform: sim}, nil, engine.Config{
-		JobName:         "tsa",
-		HITSize:         10,
-		SamplingRate:    0.2,
-		MaxInflightHITs: 4,
-		Seed:            3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	domain := []string{"pos", "neu", "neg"}
-	questions := make([]crowd.Question, 24)
-	texts := make(map[string]string, len(questions))
-	for i := range questions {
-		id := fmt.Sprintf("q%02d", i)
-		questions[i] = crowd.Question{ID: id, Text: "tweet " + id, Domain: domain, Truth: "pos"}
-		texts[id] = "a wonderful movie moment"
-	}
-	golden := make([]crowd.Question, 10)
-	for i := range golden {
-		golden[i] = crowd.Question{ID: fmt.Sprintf("g%02d", i), Domain: domain, Truth: "neg"}
-	}
-
 	server := NewServer()
 	ts := httptest.NewServer(server.Handler())
 	defer ts.Close()
 
-	// Publish the empty initial state so the subscription deterministically
-	// precedes the run.
+	domain := []string{"pos", "neu", "neg"}
 	server.Update(QueryState{Name: "panda", Domain: domain})
 	resp, sc := openStream(t, ts.Client(), ts.URL+"/v1/queries/panda/events", -1)
 	defer resp.Body.Close()
-	// Take the replay before starting the run: openStream returns on the
-	// response headers, which the server sends before it replays, so
-	// revisions racing the replay would fold into it.
-	events := readSSE(t, sc, 1)
+	const revisions = 3
+	for i := 1; i <= revisions; i++ {
+		server.Update(QueryState{Name: "panda", Domain: domain, Items: i * 8, Progress: float64(i) / (revisions + 1)})
+	}
+	server.Update(QueryState{Name: "panda", Domain: domain, Items: 32, Progress: 1, Done: true})
 
-	ch, err := eng.Stream(context.Background(), questions, golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	followDone := make(chan error, 1)
-	go func() {
-		fold, tokens := textFold(domain, texts)
-		_, err := server.Follow("panda", fold, tokens, len(questions), ch)
-		followDone <- err
-	}()
-
-	events = append(events, readSSE(t, sc, 0)...)
-	if err := <-followDone; err != nil {
-		t.Fatalf("Follow: %v", err)
-	}
-	// 1 replay + 3 batches + terminal republish, minus any drop-oldest
-	// coalescing: at minimum replay, one intermediate, one done.
-	if len(events) < 3 {
-		t.Fatalf("received %d events, want >= 3 (replay, intermediate, done)", len(events))
-	}
-	if events[0].id != 1 || events[0].state.Items != 0 {
-		t.Errorf("first event not the initial replay: %+v", events[0])
+	events := readSSE(t, sc, 0)
+	if len(events) != revisions+2 {
+		t.Fatalf("received %d events, want %d (replay, %d revisions, done): %+v", len(events), revisions+2, revisions, events)
 	}
 	for i, ev := range events {
-		if i > 0 {
-			if ev.id <= events[i-1].id {
-				t.Errorf("event ids not increasing: %d after %d", ev.id, events[i-1].id)
-			}
-			if ev.state.Progress < events[i-1].state.Progress {
-				t.Errorf("progress regressed: %v after %v", ev.state.Progress, events[i-1].state.Progress)
-			}
+		if ev.id != int64(i+1) {
+			t.Errorf("event %d id = %d, want %d", i, ev.id, i+1)
+		}
+		if i > 0 && ev.state.Progress < events[i-1].state.Progress {
+			t.Errorf("progress regressed: %v after %v", ev.state.Progress, events[i-1].state.Progress)
 		}
 		wantKind := api.EventState
 		if i == len(events)-1 {
@@ -174,18 +120,11 @@ func TestSSEStreamsLiveQuery(t *testing.T) {
 			t.Errorf("event %d kind = %q, want %q", i, ev.kind, wantKind)
 		}
 	}
-	final := events[len(events)-1].state
-	if !final.Done || final.Progress != 1 || final.Items != len(questions) {
+	if events[0].state.Items != 0 {
+		t.Errorf("first event not the replay of the state at subscription: %+v", events[0])
+	}
+	if final := events[len(events)-1].state; !final.Done || final.Progress != 1 || final.Items != 32 {
 		t.Errorf("terminal state = %+v", final)
-	}
-	hasIntermediate := false
-	for _, ev := range events[1 : len(events)-1] {
-		if ev.state.Items > 0 && !ev.state.Done {
-			hasIntermediate = true
-		}
-	}
-	if !hasIntermediate {
-		t.Error("no intermediate event carried partial results")
 	}
 
 	// The handler tears down after done; no subscriber may linger.
@@ -255,23 +194,31 @@ func TestSSEDisconnectReleasesSubscriber(t *testing.T) {
 	if evs := readSSE(t, sc, 1); len(evs) != 1 {
 		t.Fatalf("replay events = %d, want 1", len(evs))
 	}
-	if n := server.subscriberCount("q"); n != 1 {
+	if n := subscriberCount(server, "q"); n != 1 {
 		t.Fatalf("subscriberCount = %d, want 1", n)
 	}
 	resp.Body.Close() // client walks away mid-stream
 	waitNoSubscribers(t, server, "q")
 }
 
+// subscriberCount reports how many SSE clients follow name's query —
+// the goroutine-leak probe.
+func subscriberCount(server *Server, name string) int {
+	server.mu.RLock()
+	defer server.mu.RUnlock()
+	return len(server.queries[name].subs)
+}
+
 func waitNoSubscribers(t *testing.T, server *Server, name string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if server.subscriberCount(name) == 0 {
+		if subscriberCount(server, name) == 0 {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("%d subscribers still registered for %q after disconnect", server.subscriberCount(name), name)
+	t.Fatalf("%d subscribers still registered for %q after disconnect", subscriberCount(server, name), name)
 }
 
 // TestSSESubscriberChurnRace hammers subscriber add/drop while Update
@@ -441,7 +388,7 @@ func TestSSESyntheticDonePreservesPartialState(t *testing.T) {
 // with Last-Event-ID at the final revision re-sends the done event and
 // closes, instead of hanging a job-less query forever.
 func TestSSEDoneReplayOnResume(t *testing.T) {
-	server := NewServer() // no job controller: pure Follow-style query
+	server := NewServer() // no job controller: a query published directly
 	server.Update(QueryState{Name: "finished", Domain: []string{"a", "b"}, Progress: 1, Done: true})
 	ts := httptest.NewServer(server.Handler())
 	defer ts.Close()

@@ -48,22 +48,14 @@ func (s *Server) PublishStreamWindow(st api.StreamStatus, win *api.StreamWindow)
 	defer s.mu.Unlock()
 	if win != nil {
 		st.LastWindow = win
-	} else if prev, ok := s.streams[st.Name]; ok && st.LastWindow == nil {
+	} else if prev, rev := s.streams.get(st.Name); rev > 0 && st.LastWindow == nil {
 		st.LastWindow = prev.LastWindow
 	}
-	s.streams[st.Name] = st
-	s.streamRevs[st.Name]++
 	kind := api.EventWindow
-	if win == nil {
-		kind = api.EventState
+	if win == nil || st.Done {
+		kind = stateKind(st.Done)
 	}
-	if st.Done {
-		kind = api.EventDone
-	}
-	ev := feedEvent{rev: s.streamRevs[st.Name], kind: kind, data: api.StreamEvent{Window: win, State: st}}
-	for sub := range s.streamSubs[st.Name] {
-		sub.push(ev)
-	}
+	s.streams.publish(st.Name, st, kind, api.StreamEvent{Window: win, State: st})
 	if st.Results != nil {
 		s.updateLocked(*st.Results)
 	}
@@ -210,10 +202,10 @@ func (s *Server) v1SubmitStream(w http.ResponseWriter, r *http.Request) {
 // publishing still surfaces its terminal error.
 func (s *Server) streamStatus(st jobs.Status) api.StreamStatus {
 	s.mu.RLock()
-	out, published := s.streams[st.Job.Name]
+	out, rev := s.streams.get(st.Job.Name)
 	ctl := s.jobsCtl
 	s.mu.RUnlock()
-	if !published {
+	if rev == 0 {
 		out = api.StreamStatus{
 			Name:     st.Job.Name,
 			Keywords: st.Job.Query.Keywords,
@@ -303,22 +295,6 @@ func (s *Server) v1CancelStream(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.streamStatus(cur))
 }
 
-// subscribeStream registers an SSE watcher and returns the stream's
-// current published state and revision.
-func (s *Server) subscribeStream(name string) (sub *subscriber, cur api.StreamStatus, rev int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sub = subscribeIn(s.streamSubs, name)
-	cur, ok = s.streams[name]
-	return sub, cur, s.streamRevs[name], ok
-}
-
-func (s *Server) unsubscribeStream(name string, sub *subscriber) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	unsubscribeIn(s.streamSubs, name, sub)
-}
-
 // v1StreamEvents is GET /v1/streams/{name}/events: an SSE stream
 // pushing one "window" event per closed window, a "state" replay on
 // connect, and a terminal "done" event after which the server closes
@@ -329,39 +305,16 @@ func (s *Server) v1StreamEvents(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.lookupStream(w, name); !ok {
 		return
 	}
-	s.runSSE(w, r, name,
-		func() (*subscriber, func()) {
-			sub, _, _, _ := s.subscribeStream(name)
-			return sub, func() { s.unsubscribeStream(name, sub) }
-		},
-		func(lastSeen int64, send func(feedEvent) bool) bool {
-			cur, rev, published := s.streamRev(name)
-			if published && (rev > lastSeen || cur.Done) {
-				kind := api.EventState
-				if cur.Done {
-					kind = api.EventDone
-				}
-				return send(feedEvent{rev: rev, kind: kind, data: api.StreamEvent{State: cur}})
-			}
-			return true
-		},
-		func(st jobs.Status, send func(feedEvent) bool) {
+	serveFeed(s, w, r, s.streams, name,
+		func(st api.StreamStatus) (string, any) { return stateKind(st.Done), api.StreamEvent{State: st} },
+		func(_ api.StreamStatus, job jobs.Status) any {
 			// The job is terminal but never published a done event (a
 			// failure before the first window, or a cancel): synthesize
 			// one from the merged view so watchers never hang.
-			final := s.streamStatus(st)
+			final := s.streamStatus(job)
 			final.Done = true
-			_, rev, _ := s.streamRev(name)
-			send(feedEvent{rev: rev, kind: api.EventDone, data: api.StreamEvent{State: final}})
+			return api.StreamEvent{State: final}
 		})
-}
-
-// streamRev returns a stream's current published state and revision.
-func (s *Server) streamRev(name string) (api.StreamStatus, int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, ok := s.streams[name]
-	return st, s.streamRevs[name], ok
 }
 
 // writeSSEData frames one SSE event with an arbitrary JSON payload.

@@ -15,7 +15,7 @@ import (
 
 // TestUnparkOverHTTP drives the budget-parking loop end to end through
 // the API: a submitted job parks when its runner reports budget
-// exhaustion, GET shows the parked state, POST /jobs/{name}/unpark
+// exhaustion, GET shows the parked state, POST /v1/jobs/{name}:unpark
 // resumes it, and it completes.
 func TestUnparkOverHTTP(t *testing.T) {
 	svc, err := jobs.OpenService(jobs.ServiceConfig{})
@@ -44,7 +44,7 @@ func TestUnparkOverHTTP(t *testing.T) {
 
 	body := `{"name":"strapped","keywords":["thor"],"required_accuracy":0.9,` +
 		`"domain":["Positive","Neutral","Negative"],"window":"24h","budget":0.0001,"priority":1}`
-	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestUnparkOverHTTP(t *testing.T) {
 	// Unparking while still over budget just parks it again — never a
 	// failure, never a burned attempt.
 	unpark := func() int {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs/strapped/unpark", nil)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs/strapped:unpark", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestUnparkOverHTTP(t *testing.T) {
 	if code := unpark(); code != http.StatusConflict {
 		t.Errorf("unpark(done): status %d, want 409", code)
 	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/jobs/ghost/unpark", nil)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs/ghost:unpark", nil)
 	resp, err = ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -153,13 +153,7 @@ func (s *Server) v1Aggregators(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) v1Queries(w http.ResponseWriter, _ *http.Request) {
-	out := api.QueryList{Queries: []QueryState{}}
-	for _, n := range s.Names() {
-		if st, ok := s.Get(n); ok {
-			out.Queries = append(out.Queries, st)
-		}
-	}
-	writeJSON(w, out)
+	writeJSON(w, api.QueryList{Queries: s.queryStates()})
 }
 
 func (s *Server) v1Query(w http.ResponseWriter, r *http.Request) {
@@ -180,10 +174,6 @@ func (s *Server) requireJobs(w http.ResponseWriter) (JobController, bool) {
 		return nil, false
 	}
 	return ctl, true
-}
-
-func (s *Server) v1SubmitJob(w http.ResponseWriter, r *http.Request) {
-	s.submitJob(w, r, "/v1/jobs/")
 }
 
 // listJobsParams are the validated pagination and filter parameters of

@@ -119,81 +119,3 @@ func TestV1GoldenResponses(t *testing.T) {
 		})
 	}
 }
-
-// TestUnknownAggregatorOnLegacySurface: the structured rejection is
-// shared with the pre-v1 submit route — the same envelope bytes as the
-// v1 golden, just with the legacy route's Deprecation header on top.
-func TestUnknownAggregatorOnLegacySurface(t *testing.T) {
-	ts := httptest.NewServer(goldenServer().Handler())
-	defer ts.Close()
-	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json",
-		strings.NewReader(`{"name":"agg-test","aggregator":"consensus-9000"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST /jobs = %d, want 400", resp.StatusCode)
-	}
-	got, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "v1_error_unknown_aggregator.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("legacy surface envelope differs from v1:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestLegacyAliasesDeprecated pins the compatibility contract of the
-// pre-v1 routes: same bodies as always (the legacy golden files), plus
-// a Deprecation header and a successor-version Link.
-func TestLegacyAliasesDeprecated(t *testing.T) {
-	ts := httptest.NewServer(goldenServer().Handler())
-	defer ts.Close()
-	cases := []struct {
-		golden    string
-		path      string
-		successor string
-	}{
-		{"jobs_list.golden", "/jobs", "/v1/jobs"},
-		{"jobs_get.golden", "/jobs/panda", "/v1/jobs/{name}"},
-		{"metrics.golden", "/api/metrics", "/v1/metrics"},
-		{"scheduler.golden", "/api/scheduler", "/v1/scheduler"},
-		{"queries.golden", "/api/queries", "/v1/queries"},
-		{"query.golden", "/api/query?name=panda", "/v1/queries/{name}"},
-	}
-	for _, c := range cases {
-		t.Run(c.path, func(t *testing.T) {
-			resp, err := ts.Client().Get(ts.URL + c.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s = %d", c.path, resp.StatusCode)
-			}
-			if dep := resp.Header.Get("Deprecation"); dep != "true" {
-				t.Errorf("Deprecation = %q, want \"true\"", dep)
-			}
-			link := resp.Header.Get("Link")
-			if !strings.Contains(link, c.successor) || !strings.Contains(link, "successor-version") {
-				t.Errorf("Link = %q, want successor-version pointing at %s", link, c.successor)
-			}
-			got, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("legacy %s body drifted from its golden shape:\n got: %s\nwant: %s", c.path, got, want)
-			}
-		})
-	}
-}

@@ -392,10 +392,9 @@ func TestV1UnparkCustomMethod(t *testing.T) {
 	}
 }
 
-// TestLegacyCancelTerminalConflictEnvelope: the deprecated DELETE
-// /jobs/{name} answers an already-terminal job with the same structured
-// 409 envelope as v1.
-func TestLegacyCancelTerminalConflictEnvelope(t *testing.T) {
+// TestCancelTerminalConflictEnvelope: DELETE /v1/jobs/{name} answers an
+// already-terminal job with the structured 409 envelope.
+func TestCancelTerminalConflictEnvelope(t *testing.T) {
 	s := NewServer()
 	s.SetJobs(&errController{
 		statuses: []jobs.Status{{Job: jobs.Job{Name: "done-job"}, State: jobs.StateDone}},
@@ -404,23 +403,20 @@ func TestLegacyCancelTerminalConflictEnvelope(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/jobs/done-job", "/v1/jobs/done-job"} {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("DELETE %s = %d, want 409", path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("DELETE %s Content-Type = %q, want application/json", path, ct)
-		}
-		e := decodeEnvelope(t, resp.Body)
-		resp.Body.Close()
-		if e.Code != api.CodeConflict || e.Status != 409 {
-			t.Errorf("DELETE %s envelope = %+v", path, e)
-		}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/done-job", nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("DELETE = %d, want 409", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
+	}
+	if e := decodeEnvelope(t, resp.Body); e.Code != api.CodeConflict || e.Status != 409 {
+		t.Errorf("envelope = %+v", e)
 	}
 }
 
@@ -451,26 +447,6 @@ func TestJobErrorMapping(t *testing.T) {
 		e := jobError(c.err)
 		if e.Code != c.code || e.Status != c.status {
 			t.Errorf("jobError(%v) = %+v, want %s/%d", c.err, e, c.code, c.status)
-		}
-	}
-}
-
-// TestFollowProgressFractions covers the reported-progress corner cases.
-func TestFollowProgressFractions(t *testing.T) {
-	cases := []struct {
-		items, total int
-		complete     bool
-		want         float64
-	}{
-		{5, 10, false, 0.5},
-		{15, 10, true, 1}, // over-delivery clamps
-		{0, 0, true, 1},   // no expectation, healthy stream
-		{0, 0, false, 0},  // no expectation, failed stream
-		{10, 10, false, 1},
-	}
-	for _, c := range cases {
-		if got := followProgress(c.items, c.total, c.complete); got != c.want {
-			t.Errorf("followProgress(%d, %d, %v) = %v, want %v", c.items, c.total, c.complete, got, c.want)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Operational counters for the running service, alongside the package's
 // evaluation metrics: the job service and dispatcher publish lifecycle
-// counts here and httpapi exposes them at /api/metrics.
+// counts here and httpapi exposes them at GET /v1/metrics.
 package metrics
 
 import (
@@ -104,7 +104,6 @@ const (
 	CounterJobsUnparked  = "jobs_unparked"
 	CounterWALAppends    = "wal_appends"
 	CounterWALSnapshots  = "wal_snapshots"
-	CounterHITsFinished  = "hits_finished"
 	CounterBudgetCharges = "budget_charges"
 	// CounterBudgetChargeFailures counts crowd charges the durable ledger
 	// refused (cdas-server's OnCharge hook): each one is money the

@@ -127,7 +127,7 @@ type JobBudgetLine struct {
 	JobBudget
 }
 
-// BudgetSnapshot is the ledger's state for reporting (/api/scheduler).
+// BudgetSnapshot is the ledger's state for reporting (GET /v1/scheduler).
 type BudgetSnapshot struct {
 	GlobalLimit float64         `json:"global_limit"` // 0 = unlimited
 	GlobalSpent float64         `json:"global_spent"`

@@ -198,14 +198,15 @@ func questionKey(domainKey string, textHash uint64) string {
 }
 
 // ItemKey is the dedup key of one free-text enumeration answer: the
-// hash of its normalised text under a dedicated "enum" namespace.
-// Workers contributing "Blue Whale" and "blue  whale" name the same set
-// member, so enumeration result sets grow by canonical identity exactly
-// like the question cache does — through NormalizeText and the same
-// length-prefixed hash. The namespace prefix keeps enumeration keys
-// disjoint from question keys even for identical text.
+// hash of its normalised, case-folded text under a dedicated "enum"
+// namespace. Workers contributing "Blue Whale" and "blue  whale" name
+// the same set member, so enumeration result sets grow by canonical
+// identity exactly like the question cache does — through NormalizeText,
+// the same case fold as TextHash (µ and Μ, ς and Σ are one item) and
+// the same length-prefixed hash. The namespace prefix keeps enumeration
+// keys disjoint from question keys even for identical text.
 func ItemKey(text string) string {
-	return hashStrings([]string{"enum", NormalizeText(text)})
+	return hashStrings([]string{"enum", foldCase(NormalizeText(text))})
 }
 
 // MapAnswer returns the caller's own spelling of a canonically-equal

@@ -20,7 +20,8 @@ import (
 //     (Request.TextHashes) is QuestionKey, for any text, and both
 //     halves are the length-prefixed hashes of the canonical forms —
 //     the text's taken from its upper case, so that case cannot split
-//     a key even where lower-casing alone would.
+//     a key even where lower-casing alone would;
+//  4. an enumeration item's key (ItemKey) folds case the same way.
 //
 // The committed seed corpus (testdata/fuzz/FuzzQuestionKey) pins the
 // known-tricky shapes: separator injection, unicode case folding,
@@ -67,6 +68,12 @@ func FuzzQuestionKey(f *testing.F) {
 		}
 		if want := hashStrings(CanonicalDomain(domain)) + "/" + hashStrings([]string{NormalizeText(strings.ToUpper(text))}); key != want {
 			t.Errorf("QuestionKey = %q, the length-prefixed hashes of the canonical halves say %q", key, want)
+		}
+
+		// Property 4: an enumeration item's key folds case as the question
+		// key does: upper- and lower-cased text name one item.
+		if up, low, given := ItemKey(strings.ToUpper(text)), ItemKey(strings.ToLower(text)), ItemKey(text); up != low || up != given {
+			t.Errorf("item keys of %q split by case: upper %q, lower %q, as given %q", text, up, low, given)
 		}
 
 		// Property 2: a canonically-distinct domain never shares a key

@@ -225,7 +225,7 @@ func (t *Ticket) Wait(ctx context.Context) (JobResult, error) {
 // Abandoning an admitted or resolved ticket has no effect.
 func (t *Ticket) Abandon() { t.abandoned.Store(true) }
 
-// State is the scheduler's reportable state (GET /api/scheduler).
+// State is the scheduler's reportable state (GET /v1/scheduler).
 type State struct {
 	Generations        int            `json:"generations"`
 	PendingJobs        int            `json:"pending_jobs"`

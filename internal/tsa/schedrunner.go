@@ -9,10 +9,20 @@ import (
 	"errors"
 	"fmt"
 
+	"cdas/internal/exec"
 	"cdas/internal/jobs"
 	"cdas/internal/scheduler"
 	"cdas/internal/textgen"
 )
+
+// ResultSink receives a finished job's results — the Figure 4
+// dashboard feed, which the API server fans out to its SSE
+// subscribers. *httpapi.Server satisfies it; the runner only needs this
+// slice, so tsa stays decoupled from the HTTP layer.
+type ResultSink interface {
+	// UpdateFromSummary publishes one query-state revision.
+	UpdateFromSummary(name string, sum exec.Summary, progress float64, done bool)
+}
 
 // ScheduledRunnerConfig wires NewScheduledJobRunner. Operational
 // counters (cache hits, dedup, batches) live on the scheduler itself.
@@ -36,14 +46,12 @@ type ScheduledRunnerConfig struct {
 // turns into the resumable Parked state; a cancelled run abandons its
 // ticket so the scheduler never purchases answers nobody will read.
 //
-// Progress and cost land when the generation flushes (results arrive
-// per generation, not per HIT — the direct-engine tsa.NewJobRunner
-// remains the choice when per-batch streaming matters more than
-// cross-query sharing), including the partial spend of a run that
-// failed mid-generation. A run cancelled mid-flush cannot report (its
-// terminal record rejects late progress by design); its spend stays
-// visible in the durable budget ledger (jobs.Service.Budget and
-// GET /api/scheduler).
+// Progress and cost land once, when the generation flushes (results
+// arrive per generation, not per HIT), including the partial spend of a
+// run that failed mid-generation. A run cancelled mid-flush cannot
+// report (its terminal record rejects late progress by design); its
+// spend stays visible in the durable budget ledger (jobs.Service.Budget
+// and GET /v1/scheduler).
 func NewScheduledJobRunner(cfg ScheduledRunnerConfig) jobs.Runner {
 	// The gate derives from the scheduler itself — a second accuracy
 	// knob here would be one flag-sync bug away from silently

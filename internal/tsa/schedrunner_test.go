@@ -29,10 +29,6 @@ func (s *summarySink) UpdateFromSummary(name string, sum exec.Summary, _ float64
 	s.done[name] = sum
 }
 
-func (s *summarySink) Follow(string, *exec.Fold, func(string) ([]uint32, bool), int, <-chan engine.StreamResult) ([]engine.BatchResult, error) {
-	panic("the scheduled runner does not follow engine streams")
-}
-
 func (s *summarySink) summary(name string) (exec.Summary, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
