@@ -8,8 +8,8 @@
 // lifecycle transition and budget charge is committed to the indexed
 // LSM job store (checkpointed off the commit path), so a killed server
 // replays on restart, resumes unfinished jobs and keeps charging from
-// where it stopped. A store still in the older append-only log format
-// is refused at boot; cdas-storectl migrate converts it in place.
+// where it stopped. A store in a retired layout is refused at boot with
+// jobstore.ErrRetiredFormat, and nothing in it is changed.
 //
 // Usage:
 //

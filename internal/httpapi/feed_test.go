@@ -142,7 +142,10 @@ func feedCases() []feedCase {
 // feeds — including publishes that land between a subscription's
 // WriteHeader and its replay — and checks what every subscriber
 // receives: ids strictly increase, the last event is done, and its
-// state is the last one published.
+// state is the last one published. The dead trials watch a job that
+// reached a terminal state without publishing done, with and without
+// earlier publishes and Last-Event-ID: the synthetic done must still
+// carry an id above every id the watcher holds.
 func TestFeedDeliveryOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 120; trial++ {
@@ -150,6 +153,64 @@ func TestFeedDeliveryOrder(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%d", c.kind, trial), func(t *testing.T) {
 			runFeedTrial(t, rng, c)
 		})
+	}
+	for kind := range feedCases() {
+		for _, published := range []int{0, 2} {
+			for lastID := -1; lastID <= published; lastID++ {
+				name := fmt.Sprintf("dead/%s/published%d/last-event-id%d", feedCases()[kind].kind, published, lastID)
+				if lastID < 0 {
+					name = fmt.Sprintf("dead/%s/published%d/no-last-event-id", feedCases()[kind].kind, published)
+				}
+				t.Run(name, func(t *testing.T) {
+					t.Parallel() // each waits out the handler's dead-job ticker
+					runDeadFeedTrial(t, feedCases()[kind], published, lastID)
+				})
+			}
+		}
+	}
+}
+
+// runDeadFeedTrial publishes published non-terminal states for a job
+// that is already failed, then watches it, sending Last-Event-ID when
+// lastID is not negative. The watcher holds lastID (0 without the
+// header), so every id it receives must be above that and above the
+// one before, and the stream must end in done.
+func runDeadFeedTrial(t *testing.T, c feedCase, published, lastID int) {
+	s := NewServer()
+	var statuses []jobs.Status
+	for name, kind := range map[string]jobs.Kind{"fq": jobs.KindTSA, "fs": jobs.KindContinuous, "fe": jobs.KindEnumeration} {
+		statuses = append(statuses, jobs.Status{Job: jobs.Job{Name: name, Kind: kind}, State: jobs.StateFailed, Error: "dead"})
+	}
+	s.SetJobs(&goldenController{statuses: statuses})
+	rng := rand.New(rand.NewSource(int64(published)))
+	for seq := 1; seq <= published; seq++ {
+		c.publish(s, rng, seq, false)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, c.path, nil).WithContext(ctx)
+	if lastID >= 0 {
+		req.Header.Set("Last-Event-ID", strconv.Itoa(lastID))
+	}
+	w := &flushHookWriter{header: make(http.Header), onFirstFlush: func() {}}
+	s.Handler().ServeHTTP(w, req)
+
+	events := parseWire(t, w.body.String(), c.whole)
+	if len(events) == 0 {
+		t.Fatal("the watcher received nothing")
+	}
+	ids := []int64{int64(max(lastID, 0))}
+	for _, ev := range events {
+		ids = append(ids, ev.id)
+	}
+	for j := 1; j < len(ids); j++ {
+		if ids[j] <= ids[j-1] {
+			t.Fatalf("held id then received ids %v do not strictly increase", ids)
+		}
+	}
+	if end := events[len(events)-1]; end.kind != api.EventDone {
+		t.Fatalf("last event is %q, want done (ids %v)", end.kind, ids)
 	}
 }
 

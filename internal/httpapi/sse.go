@@ -246,10 +246,13 @@ func serveFeed[T any](s *Server, w http.ResponseWriter, r *http.Request, f feed[
 				continue
 			default:
 			}
+			// The synthetic done takes the next revision: a watcher may
+			// already hold the current one, and nothing publishes after
+			// a job is terminal, so that id is never reused.
 			s.mu.RLock()
 			cur, rev := f.get(name)
 			s.mu.RUnlock()
-			send(feedEvent{rev: rev, kind: api.EventDone, data: synthesize(cur, st)})
+			send(feedEvent{rev: rev + 1, kind: api.EventDone, data: synthesize(cur, st)})
 			return
 		}
 	}

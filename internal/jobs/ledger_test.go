@@ -1,173 +1,21 @@
 package jobs
 
 // Tests for the budget ledger's storage: one b/<job> line per job plus
-// the stored total under "b". They pin that a store written before the
-// split is upgraded in place without changing a bit of the ledger, that
-// replay of old and new events mixes, that a charge costs the same
-// whatever the ledger's size, and that no value the encoding cannot
-// spell ever reaches it.
+// the stored total under "b". They pin that a reopened ledger is
+// bit-equal, that a charge costs the same whatever the ledger's size,
+// and that no value the encoding cannot spell ever reaches it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"cdas/internal/jobstore"
 )
-
-// rawLedger reads the ledger records straight from the store files: the
-// value under "b" and every b/ line.
-func rawLedger(t *testing.T, dir string) (total string, lines map[string]string) {
-	t.Helper()
-	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lsm.Close()
-	raw, _, err := lsm.Get(lsmBudgetKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines = map[string]string{}
-	err = lsm.Scan(lsmBudgetPrefix, prefixEnd(lsmBudgetPrefix), func(key string, val []byte) bool {
-		lines[strings.TrimPrefix(key, lsmBudgetPrefix)] = string(val)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(raw), lines
-}
-
-// writeOldLayout creates an LSM store holding the ledger the way stores
-// were written before the split: the whole BudgetState, jobs map and all,
-// as one JSON value under "b".
-func writeOldLayout(t *testing.T, dir string, ledger BudgetState) {
-	t.Helper()
-	payload, err := json.Marshal(ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsm, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lsm.Apply([]jobstore.Op{{Key: lsmBudgetKey, Value: payload}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lsm.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// awkwardLedger is a ledger whose total is not the float sum of its lines
-// in any order a reader might add them up: only storing it keeps it.
-func awkwardLedger() BudgetState {
-	ledger := BudgetState{Jobs: map[string]float64{}}
-	for i, amount := range []float64{0.1, 0.2, 0.07, 1e-9, 3, 0.30000000000000004} {
-		ledger.Jobs[fmt.Sprintf("job/%d", i)] = amount
-		ledger.GlobalSpent += amount
-	}
-	ledger.Jobs[""] = 0.5 // a charge may name any job, the empty name included
-	ledger.GlobalSpent += 0.5
-	return ledger
-}
-
-func TestLedgerOldLayoutUpgrade(t *testing.T) {
-	want := awkwardLedger()
-	dir := t.TempDir()
-	writeOldLayout(t, dir, want)
-
-	s, err := OpenService(ServiceConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Budget(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ledger after the upgrade = %+v, want %+v", got, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	total, lines := rawLedger(t, dir)
-	if strings.Contains(total, "jobs") || !strings.HasPrefix(total, `{"global_spent":`) {
-		t.Fatalf(`"b" after the upgrade = %s, want the total alone`, total)
-	}
-	if len(lines) != len(want.Jobs) {
-		t.Fatalf("%d b/ lines after the upgrade, want %d: %v", len(lines), len(want.Jobs), lines)
-	}
-
-	// A second open finds nothing to do: it writes nothing and reads the
-	// same ledger from the same records.
-	walWrites := 0
-	s, err = OpenService(ServiceConfig{Dir: dir, StoreFail: func(point string) error {
-		if point == jobstore.FailWALWrite {
-			walWrites++
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Budget(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ledger after the second open = %+v, want %+v", got, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if walWrites != 0 {
-		t.Fatalf("second open wrote %d WAL groups, want none", walWrites)
-	}
-	if total2, lines2 := rawLedger(t, dir); total2 != total || !reflect.DeepEqual(lines2, lines) {
-		t.Fatalf("second open changed the records: %s %v, were %s %v", total2, lines2, total, lines)
-	}
-}
-
-// TestLedgerUpgradeCrashSweep dies at every failpoint the upgrade batch
-// passes, whole and torn: the next boot recovers the original ledger,
-// whether it finds the old layout again or the new one already there.
-func TestLedgerUpgradeCrashSweep(t *testing.T) {
-	want := awkwardLedger()
-	counter := &svcCrash{n: -1}
-	dry := t.TempDir()
-	writeOldLayout(t, dry, want)
-	s, err := OpenService(ServiceConfig{Dir: dry, StoreFail: counter.fn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if counter.totalHits() == 0 {
-		t.Fatal("the upgrade passed no failpoint")
-	}
-	for _, torn := range []bool{false, true} {
-		for n := 1; n <= counter.totalHits(); n++ {
-			dir := t.TempDir()
-			writeOldLayout(t, dir, want)
-			crash := &svcCrash{n: n, torn: torn}
-			if s, err := OpenService(ServiceConfig{Dir: dir, StoreFail: crash.fn}); err == nil {
-				s.Close()
-			}
-			fired, point := crash.state()
-			if !fired {
-				t.Fatalf("hit %d never fired", n)
-			}
-			r, err := OpenService(ServiceConfig{Dir: dir})
-			if err != nil {
-				t.Fatalf("torn=%v crash at hit %d (%s): recovery failed: %v", torn, n, point, err)
-			}
-			got := r.Budget()
-			r.Close()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("torn=%v crash at hit %d (%s): recovered %+v, want %+v", torn, n, point, got, want)
-			}
-		}
-	}
-}
 
 func TestLedgerBitEqualAcrossReopen(t *testing.T) { t.Run("lsm", testLedgerBitEqualAcrossReopen) }
 
@@ -292,51 +140,6 @@ func TestLedgerChargeCostIsConstant(t *testing.T) {
 	}
 	if large.allocs > small.allocs+2 {
 		t.Errorf("a charge allocates %.0f times on 10 jobs and %.0f on 10 000, want no growth", small.allocs, large.allocs)
-	}
-}
-
-// TestLedgerMixedEventReplay: the append-only log fixture holds a
-// snapshot ledger, a full-ledger "budget" event from before the split,
-// then a "charge" event written twice and a torn one. It replays to one
-// ledger and migrates to the same lines.
-func TestLedgerMixedEventReplay(t *testing.T) {
-	dir := walStoreDir(t)
-	_, want, _ := walStoreWant()
-	img, err := jobstore.ReadLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got, _, err := loadLogImage(img)
-	img.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replayed ledger = %+v, want %+v", got, want)
-	}
-
-	if _, err := MigrateStore(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, lines := rawLedger(t, dir)
-	if wantLines := map[string]string{"alpha": "2.5", "beta": "0.5", "gamma": "0.25"}; !reflect.DeepEqual(lines, wantLines) {
-		t.Fatalf("migrated ledger lines = %v, want %v", lines, wantLines)
-	}
-	r, err := OpenService(ServiceConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.Budget(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated ledger = %+v, want %+v", got, want)
-	}
-	// The migrated ledger keeps charging from where the log stopped.
-	if err := r.ChargeBudget("beta", 0.25); err != nil {
-		t.Fatal(err)
-	}
-	want.GlobalSpent, want.Jobs["beta"] = 3.5, 0.75
-	if got := r.Budget(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ledger after a charge = %+v, want %+v", got, want)
 	}
 }
 

@@ -11,18 +11,19 @@
 //	*StreamSpec, *EnumSpec  presence byte (0 nil, 1 set), then the fields
 //	Query.Start  a string: the time's RFC 3339 text, as JSON spelled it
 //
-// Stores written before the binary format hold walStatus JSON, which
-// starts with '{'; decodeRecord reads those in place and the next
-// transition of the job rewrites its record in the binary format.
+// Records written before the binary format are walStatus JSON, which
+// starts with '{'; decodeRecord refuses them with
+// jobstore.ErrRetiredFormat.
 package jobs
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"time"
+
+	"cdas/internal/jobstore"
 )
 
 // recordV1 leads every binary job record. A later layout takes the next
@@ -87,18 +88,18 @@ func encodeRecord(ws walStatus) ([]byte, error) {
 	return w.b, nil
 }
 
-// decodeRecord decodes a job record in either format into *ws. No
-// decoded string aliases b, so b may be a buffer the caller reuses. It
-// accepts only what encodeRecord can write back.
+// errJSONRecord refuses a j/ value in the retired JSON layout.
+var errJSONRecord = jobstore.RetiredFormat("a JSON job record, written before the binary record format")
+
+// decodeRecord decodes a binary job record into *ws. No decoded string
+// aliases b, so b may be a buffer the caller reuses. It accepts only
+// what encodeRecord can write back.
 func decodeRecord(b []byte, ws *walStatus) error {
 	switch {
 	case len(b) == 0:
 		return errors.New("empty job record")
 	case b[0] == '{':
-		*ws = walStatus{}
-		if err := json.Unmarshal(b, ws); err != nil {
-			return err
-		}
+		return errJSONRecord
 	case b[0] == recordV1:
 		if err := decodeV1(b, ws); err != nil {
 			return err

@@ -1,8 +1,8 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -265,7 +265,7 @@ func TestRecordRefusedCommitIsUndone(t *testing.T) {
 	}
 	s.Close()
 	var stored walStatus
-	if err := decodeRecord(rawRecords(t, dir)[lsmPrimaryKey("a")], &stored); err != nil {
+	if err := decodeRecord(storeValues(t, dir)[lsmPrimaryKey("a")], &stored); err != nil {
 		t.Fatal(err)
 	}
 	if got := fromWal(stored); !reflect.DeepEqual(got, before) {
@@ -273,8 +273,8 @@ func TestRecordRefusedCommitIsUndone(t *testing.T) {
 	}
 }
 
-// legacyRecord is a j/ value as binaries before the binary format wrote
-// it: json.Marshal(walStatus), byte for byte.
+// legacyRecord is a j/ value in the retired JSON layout:
+// json.Marshal(walStatus), byte for byte. decodeRecord refuses it.
 const legacyRecord = `{"job":{"Name":"legacy","Kind":"tsa","Query":{"Keywords":["iPhone4S"],"RequiredAccuracy":0.9,"Domain":["pos","neg"],"Start":"2011-10-14T09:30:00+05:30","Window":86400000000000},"Tenant":"acme","Priority":-2,"Budget":1.5,"Aggregator":""},"state":"done","attempts":1,"progress":1,"cost":0.25,"seq":9}`
 
 func FuzzDecodeRecord(f *testing.F) {
@@ -292,7 +292,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var got walStatus
-		if decodeRecord(b, &got) != nil {
+		err := decodeRecord(b, &got)
+		if len(b) > 0 && b[0] == '{' && !errors.Is(err, jobstore.ErrRetiredFormat) {
+			t.Fatalf("a JSON record decoded to err = %v, want ErrRetiredFormat", err)
+		}
+		if err != nil {
 			return
 		}
 		enc, err := encodeRecord(got)
@@ -309,129 +313,22 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// rawRecords returns every j/ value in the store at dir.
-func rawRecords(t *testing.T, dir string) map[string][]byte {
-	t.Helper()
-	l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	out := map[string][]byte{}
-	err = l.Scan(lsmPrimaryPrefix, prefixEnd(lsmPrimaryPrefix), func(k string, v []byte) bool {
-		out[k] = bytes.Clone(v)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// putRecords overwrites j/ values in the store at dir.
-func putRecords(t *testing.T, dir string, records map[string][]byte) {
-	t.Helper()
-	l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range records {
-		if err := l.Put(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyJSONRecords: a store whose j/ values are JSON, as binaries
-// before the binary format wrote them, boots to the same job table; a
-// transition rewrites just its job's record in the binary format; the
-// mixed store boots the same again; and a corrupt record of either
-// format fails the boot with an error naming its key.
-func TestLegacyJSONRecords(t *testing.T) {
+// TestRecordCorruptNamesKey: a binary record that does not decode fails
+// the boot with an error naming its key, and the store is left as it was.
+func TestRecordCorruptNamesKey(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestService(t, dir)
-	enum := testJob("enum")
-	enum.Kind, enum.Query.Start = KindEnumeration, time.Time{}
-	enum.Enum = &EnumSpec{ItemValue: 0.5, MaxBatches: 3}
-	stream := continuousTestJob("stream")
-	stream.Query.Start = time.Date(2011, 10, 14, 9, 0, 0, 0, time.FixedZone("", -7*3600))
-	for _, j := range []Job{testJob("a"), tenantJob("b", "acme", -3), enum, stream} {
-		if _, err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := s.Claim(); !ok {
-		t.Fatal("claim failed")
-	}
-	if err := s.Park("a"); err != nil {
+	if _, err := s.Submit(testJob("a")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-
-	legacy := map[string][]byte{}
-	for k, v := range rawRecords(t, dir) {
-		var ws walStatus
-		err := decodeRecord(v, &ws)
-		if err == nil {
-			legacy[k], err = json.Marshal(ws)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	key := lsmPrimaryKey("a")
+	putValues(t, dir, map[string][]byte{key: storeValues(t, dir)[key][:20]})
+	before := storeValues(t, dir)
+	if _, err := OpenService(ServiceConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+		t.Fatalf("boot with a corrupt %s: err = %v, want one naming the key", key, err)
 	}
-	var ws walStatus
-	if err := json.Unmarshal([]byte(legacyRecord), &ws); err != nil {
-		t.Fatal(err)
-	}
-	legacy[lsmPrimaryKey(ws.Job.Name)] = []byte(legacyRecord)
-	putRecords(t, dir, legacy)
-	l, err := jobstore.OpenLSM(jobstore.LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, err := lsmBatch(walEvent{Op: "submit", Status: ws}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Apply(ops[1:]); err != nil { // the index entries only
-		t.Fatal(err)
-	}
-	l.Close()
-
-	s = openTestService(t, dir)
-	want := s.Statuses()
-	if len(want) != 5 {
-		t.Fatalf("legacy store booted %d jobs, want 5", len(want))
-	}
-	if err := s.Unpark("a"); err != nil {
-		t.Fatal(err)
-	}
-	want = s.Statuses()
-	s.Close()
-	for k, v := range rawRecords(t, dir) {
-		if binary := v[0] == recordV1; binary != (k == lsmPrimaryKey("a")) {
-			t.Errorf("%s: binary = %v after one transition of a", k, binary)
-		}
-	}
-	s = openTestService(t, dir)
-	if got := s.Statuses(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed store booted\n%+v\nwant\n%+v", got, want)
-	}
-	s.Close()
-	checkLSMIndexes(t, dir, "mixed store")
-
-	good := rawRecords(t, dir)
-	for key, corrupt := range map[string][]byte{
-		lsmPrimaryKey("b"): []byte(legacyRecord[:60]),
-		lsmPrimaryKey("a"): good[lsmPrimaryKey("a")][:20],
-	} {
-		putRecords(t, dir, map[string][]byte{key: corrupt})
-		if _, err := OpenService(ServiceConfig{Dir: dir}); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
-			t.Fatalf("boot with corrupt %s: err = %v, want one naming the key", key, err)
-		}
-		putRecords(t, dir, map[string][]byte{key: good[key]})
+	if after := storeValues(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused boot changed the store")
 	}
 }

@@ -32,9 +32,8 @@ type ServiceConfig struct {
 	// current record under a primary key plus (state, priority, tenant)
 	// secondary indexes, booted from the newest checkpoint + WAL tail.
 	// Empty disables persistence: the service still runs the full
-	// lifecycle, in memory only. A directory still holding a store in
-	// the older append-only log format is refused until cdas-storectl
-	// migrate has converted it.
+	// lifecycle, in memory only. A directory or record in a retired
+	// layout is refused with jobstore.ErrRetiredFormat.
 	Dir string
 	// Engine is empty or EngineLSM; OpenService refuses any other value.
 	//
@@ -117,7 +116,7 @@ type stagedTx struct {
 // LSM keyspace. The primary record lives under "j/<name>"; secondary
 // index entries are empty values whose keys order the scan:
 //
-//	j/<name>                      → walStatus, binary (record.go; JSON in older stores)
+//	j/<name>                      → walStatus, binary (record.go)
 //	b                             → {"global_spent":…} (ledger total)
 //	b/<job>                       → that job's spend, a JSON number
 //	xs/<state>/<seq>/<name>       state index, FIFO order within a state
@@ -130,9 +129,8 @@ type stagedTx struct {
 // The ledger is one record per line so that a charge writes two small
 // values whatever the number of jobs ever charged. Both are stored in
 // shortest round-trip form and the total is never re-summed, so a
-// reopened ledger is bit-equal. Stores written before the split keep the
-// whole ledger under "b" (a BudgetState with its jobs map); boot rewrites
-// such a store into lines in one atomic batch (loadLSMBudget, budgetOps).
+// reopened ledger is bit-equal. A "b" that still carries the jobs map
+// is the retired whole-ledger layout, which boot refuses.
 const (
 	lsmPrimaryPrefix = "j/"
 	lsmBudgetKey     = "b"
@@ -193,9 +191,9 @@ func (b BudgetState) clone() BudgetState {
 
 // budgetOps appends b's ledger records to batch: a b/<job> line for each
 // entry of b.Jobs, in name order, and the total under "b". A charge passes
-// the one line it moved with the new total; migration and the boot-time
-// split pass the whole ledger. Values are finite (ChargeBudget refuses the
-// rest), so each is a JSON number that parses back to the same bits.
+// the one line it moved with the new total. Values are finite
+// (ChargeBudget refuses the rest), so each is a JSON number that parses
+// back to the same bits.
 func budgetOps(batch []jobstore.Op, b BudgetState) []jobstore.Op {
 	names := make([]string, 0, len(b.Jobs))
 	for name := range b.Jobs {
@@ -213,19 +211,17 @@ func budgetOps(batch []jobstore.Op, b BudgetState) []jobstore.Op {
 }
 
 // loadLSMBudget reads the ledger back: the total from "b", the lines from
-// a range-read of b/. unsplit reports a store written before the ledger
-// was split — "b" carries the jobs map and there are no lines — which the
-// caller rewrites with budgetOps.
-func loadLSMBudget(lsm *jobstore.LSM) (b BudgetState, unsplit bool, err error) {
+// a range-read of b/.
+func loadLSMBudget(lsm *jobstore.LSM) (b BudgetState, err error) {
 	raw, ok, err := lsm.Get(lsmBudgetKey)
 	if err != nil || !ok {
-		return b, false, err
+		return b, err
 	}
 	if err := json.Unmarshal(raw, &b); err != nil {
-		return b, false, fmt.Errorf("jobs: decoding budget record: %w", err)
+		return b, fmt.Errorf("jobs: decoding budget record: %w", err)
 	}
-	if len(b.Jobs) > 0 {
-		return b, true, nil
+	if b.Jobs != nil {
+		return b, fmt.Errorf("jobs: budget record %q: %w", lsmBudgetKey, jobstore.RetiredFormat("the whole ledger with its jobs map, written before per-job b/ lines"))
 	}
 	var decodeErr error
 	err = lsm.Scan(lsmBudgetPrefix, prefixEnd(lsmBudgetPrefix), func(key string, val []byte) bool {
@@ -243,16 +239,14 @@ func loadLSMBudget(lsm *jobstore.LSM) (b BudgetState, unsplit bool, err error) {
 	if err == nil {
 		err = decodeErr
 	}
-	return b, false, err
+	return b, err
 }
 
 // loadLSMState reads a store back: every job's primary record restored
-// into m, the budget ledger (unsplit as loadLSMBudget reports it) and the
-// stream marks. Boot and the migration's verification both read through
-// it, so they see a store the same way.
-func loadLSMState(lsm *jobstore.LSM, m *Manager) (budget BudgetState, unsplit bool, streams map[string]StreamMark, err error) {
-	if budget, unsplit, err = loadLSMBudget(lsm); err != nil {
-		return budget, unsplit, nil, err
+// into m, the budget ledger and the stream marks.
+func loadLSMState(lsm *jobstore.LSM, m *Manager) (budget BudgetState, streams map[string]StreamMark, err error) {
+	if budget, err = loadLSMBudget(lsm); err != nil {
+		return budget, nil, err
 	}
 	streams = map[string]StreamMark{}
 	var decodeErr error
@@ -279,7 +273,7 @@ func loadLSMState(lsm *jobstore.LSM, m *Manager) (budget BudgetState, unsplit bo
 	if err == nil {
 		err = decodeErr
 	}
-	return budget, unsplit, streams, err
+	return budget, streams, err
 }
 
 // StreamMark is a continuous job's durable stream position: the highest
@@ -360,9 +354,9 @@ type streamRecord struct {
 }
 
 // walStatus is a job lifecycle record: Status plus the FIFO sequence.
-// Under j/<name> it is stored in the binary format of record.go; the
-// JSON tags spell it as the append-only log format and older j/ values
-// hold it.
+// Under j/<name> it is stored in the binary format of record.go. The
+// JSON tags are the reference the binary codec is tested against
+// (TestRecordMatchesJSONRoundTrip).
 type walStatus struct {
 	Job      Job     `json:"job"`
 	State    State   `json:"state"`
@@ -378,14 +372,12 @@ type walStatus struct {
 // full post-transition record of the job they concern; a "charge" event
 // carries the post-charge total and the one ledger line the charge moved;
 // a "stream" event carries the mark. All are absolute values, so applying
-// one twice is a plain overwrite. It is also the record format of the
-// append-only log, whose older stores hold "budget" events (each the full
-// ledger) as well; loadLogImage replays those for migration.
+// one twice is a plain overwrite.
 type walEvent struct {
-	Op     string        `json:"op"` // "submit", "update", "charge", "stream" or (old logs) "budget"
-	Status walStatus     `json:"status,omitempty"`
-	Budget *BudgetState  `json:"budget,omitempty"`
-	Stream *streamRecord `json:"stream,omitempty"`
+	Op     string // "submit", "update", "charge" or "stream"
+	Status walStatus
+	Budget *BudgetState
+	Stream *streamRecord
 }
 
 func toWal(st Status) walStatus {
@@ -418,7 +410,7 @@ func fromWal(ws walStatus) Status {
 // interrupted mid-flight.
 func OpenService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Engine != "" && cfg.Engine != EngineLSM {
-		return nil, fmt.Errorf("jobs: unknown storage engine %q: LSM is the only engine (cdas-storectl migrate converts a store the old wal engine wrote)", cfg.Engine)
+		return nil, fmt.Errorf("jobs: unknown storage engine %q: LSM is the only engine", cfg.Engine)
 	}
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
@@ -436,15 +428,6 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 	s.m.SetMaxAttempts(cfg.MaxAttempts)
 	if cfg.Dir == "" {
 		return s, nil
-	}
-	// Refuse a directory holding the append-only log format: the file
-	// sets are disjoint, so the LSM would come up empty beside it and
-	// look exactly like data loss.
-	switch hasLog, hasLSM := jobstore.DetectEngines(cfg.Dir); {
-	case hasLog && hasLSM:
-		return nil, fmt.Errorf("jobs: %s holds both append-only log and LSM files — an interrupted migration; re-run cdas-storectl migrate -dir %s", cfg.Dir, cfg.Dir)
-	case hasLog:
-		return nil, fmt.Errorf("jobs: %s holds a store in the old append-only log format; convert it with cdas-storectl migrate -dir %s", cfg.Dir, cfg.Dir)
 	}
 	return openLSMService(s)
 }
@@ -489,15 +472,8 @@ func openLSMService(s *Service) (*Service, error) {
 		lsm.Close()
 		return nil, err
 	}
-	var unsplit bool
-	if s.budget, unsplit, s.streams, err = loadLSMState(lsm, s.m); err != nil {
+	if s.budget, s.streams, err = loadLSMState(lsm, s.m); err != nil {
 		return fail(err)
-	}
-	if unsplit {
-		// One batch, so a crash leaves the old layout or the new one.
-		if err := lsm.Apply(budgetOps(nil, s.budget)); err != nil {
-			return fail(fmt.Errorf("jobs: splitting the budget ledger into lines: %w", err))
-		}
 	}
 	// Resume via the state index: every xs/running entry names a job a
 	// crash or shutdown interrupted mid-flight.

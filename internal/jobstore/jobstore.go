@@ -5,12 +5,11 @@
 //
 // The store is deliberately payload-agnostic — it persists opaque byte
 // records and leaves their meaning to the caller (package jobs encodes
-// lifecycle records as JSON).
+// lifecycle records in its own versioned binary format, record.go).
 //
 // This file holds the record framing the LSM's WAL and checkpoint
-// manifest share, and ReadLog: a read-only reader for the append-only
-// log (wal.dat plus snapshot.dat) that stores were written in before the
-// LSM engine, kept so that cdas-storectl migrate can convert them.
+// manifest share, and the refusal of layouts this package no longer
+// reads.
 package jobstore
 
 import (
@@ -18,16 +17,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"syscall"
 )
 
 const (
-	walName      = "wal.dat"
-	snapshotName = "snapshot.dat"
-
 	// headerSize is the per-frame header: 4-byte payload length,
 	// 8-byte sequence number, 4-byte CRC-32 (IEEE) over seq+payload.
 	headerSize = 4 + 8 + 4
@@ -37,96 +31,52 @@ const (
 	maxRecordSize = 64 << 20
 )
 
-// ErrCorruptSnapshot reports a snapshot file that exists but fails its
-// checksum. Unlike a torn WAL tail this is never produced by a crash —
-// snapshots were installed atomically — so it is surfaced loudly instead
-// of being silently dropped.
-var ErrCorruptSnapshot = errors.New("jobstore: snapshot file is corrupt")
-
 // ErrLocked reports a store already opened by another live process. The
 // lock is a flock: the kernel releases it when the holder dies, so a
 // kill -9 never wedges the store.
 var ErrLocked = errors.New("jobstore: store is locked by another process")
 
-// LogImage is an append-only log store as ReadLog found it: the latest
-// snapshot plus every committed WAL record after it. It holds the WAL's
-// flock until Close, so a second reader — or a process still writing the
-// log — cannot run beside it.
-type LogImage struct {
-	// Snapshot is the snapshot payload, nil when the store has none.
-	Snapshot []byte
-	// Entries are the committed WAL records past the snapshot's
-	// watermark, in append order.
-	Entries [][]byte
-	// TailTruncated reports a torn or corrupted WAL tail — the
-	// signature of a crash mid-append — that the read left out.
-	TailTruncated bool
+// ErrRetiredFormat reports a store, or a record in one, written in a
+// layout this code no longer reads. Nothing is converted: the files and
+// records are left exactly as they were found.
+var ErrRetiredFormat = errors.New("retired store format")
 
-	lock *os.File
+// lastRetiredReader is the last commit whose code reads every retired
+// layout; a store refused here can be carried forward by a build of it.
+const lastRetiredReader = "fef6937"
+
+// RetiredFormat returns ErrRetiredFormat for the retired layout format,
+// naming the last commit that reads it. The caller names the file or
+// key that holds it.
+func RetiredFormat(format string) error {
+	return fmt.Errorf("%w: %s, last read by commit %s; nothing was converted",
+		ErrRetiredFormat, format, lastRetiredReader)
 }
 
-// ReadLog reads the append-only log store rooted at dir without writing
-// to it. Frames at or below the snapshot's sequence watermark are
-// skipped (the crash window between a snapshot install and the WAL
-// truncation that followed it), so a record is never applied twice; a
-// torn or corrupted tail ends the committed prefix and is left on disk
-// as it is. The returned image holds the store's lock — a flock on
-// wal.dat, which is created empty when a store has only a snapshot —
-// until Close.
-func ReadLog(dir string) (*LogImage, error) {
-	path := filepath.Join(dir, walName)
-	wal, err := os.OpenFile(path, os.O_RDONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("jobstore: %w", err)
-	}
-	if err := syscall.Flock(int(wal.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("%w (%s): %v", ErrLocked, path, err)
-	}
-	img := &LogImage{lock: wal}
-	if err := img.read(dir); err != nil {
-		wal.Close()
-		return nil, err
-	}
-	return img, nil
+// retiredFiles are the files of retired store layouts. None of them is
+// in the LSM's file set, so an open that ignored them would come up
+// empty beside the data they hold.
+var retiredFiles = []struct{ name, format string }{
+	{"wal.dat", "the append-only log written before the LSM engine"},
+	{"snapshot.dat", "the append-only log's snapshot, written before the LSM engine"},
+	{"lsm.wal", "the single LSM WAL file written before WAL segments"},
 }
 
-// read loads the snapshot, then scans the WAL for committed records
-// past its watermark.
-func (img *LogImage) read(dir string) error {
-	var snapSeq uint64
-	snapPath := filepath.Join(dir, snapshotName)
-	data, err := os.ReadFile(snapPath)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	if len(data) > 0 {
-		seq, payload, size, ok := parseFrame(data)
-		if !ok || size != len(data) {
-			return fmt.Errorf("%w (%s)", ErrCorruptSnapshot, snapPath)
+// refuseRetired fails when dir holds a file of a retired layout. It
+// only reads, so a refused open creates and changes nothing.
+func refuseRetired(dir string) error {
+	for _, f := range retiredFiles {
+		path := filepath.Join(dir, f.name)
+		_, err := os.Lstat(path)
+		if err == nil {
+			return fmt.Errorf("jobstore: %s: %w", path, RetiredFormat(f.format))
 		}
-		img.Snapshot, snapSeq = payload, seq
-	}
-	if data, err = io.ReadAll(img.lock); err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	offset := 0
-	for offset < len(data) {
-		seq, payload, size, ok := parseFrame(data[offset:])
-		if !ok {
-			img.TailTruncated = true
-			break
+		if !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("jobstore: %w", err)
 		}
-		if seq > snapSeq {
-			img.Entries = append(img.Entries, payload)
-		}
-		offset += size
 	}
 	return nil
 }
-
-// Close releases the store's lock. The image stays readable.
-func (img *LogImage) Close() error { return img.lock.Close() }
 
 // frame encodes one record: [len u32][seq u64][crc u32][payload].
 func frame(seq uint64, payload []byte) []byte {

@@ -1,7 +1,7 @@
 // The LSM engine: a durable key/value store with bounded-time recovery,
-// built for the job service's "millions of jobs" regime where the
-// append-only Log's replay-the-world recovery becomes a boot-time and
-// memory cliff.
+// built for the job service's "millions of jobs" regime where
+// replaying a whole history at boot would be a boot-time and memory
+// cliff.
 //
 // Shape (classic log-structured merge tree, one level):
 //
@@ -52,13 +52,9 @@ import (
 	"syscall"
 )
 
-// LSM file names. They are disjoint from the Log's (wal.dat,
-// snapshot.dat), so pointing one engine at the other's directory finds
-// an empty store instead of corrupting it.
+// LSM file names. A directory that also holds a retired layout's files
+// (retiredFiles) is refused at open.
 const (
-	// lsmWALName is the pre-segmented single WAL file; recovery adopts
-	// it as the first segment so old stores open unchanged.
-	lsmWALName      = "lsm.wal"
 	lsmLockName     = "lsm.lock"
 	manifestName    = "MANIFEST"
 	manifestTmpName = "MANIFEST.tmp"
@@ -224,7 +220,9 @@ type LSM struct {
 var errLSMClosed = errors.New("jobstore: store is closed")
 
 // OpenLSM opens (creating if needed) the store at cfg.Dir and recovers
-// it: manifest, run skeletons, orphan cleanup, WAL tail replay.
+// it: manifest, run skeletons, orphan cleanup, WAL tail replay. A
+// directory holding a retired layout's files fails with ErrRetiredFormat
+// before anything in it is created or changed.
 func OpenLSM(cfg LSMConfig) (*LSM, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("jobstore: dir is required")
@@ -237,6 +235,9 @@ func OpenLSM(cfg LSMConfig) (*LSM, error) {
 	}
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = defaultBlockSize
+	}
+	if err := refuseRetired(cfg.Dir); err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
@@ -335,24 +336,6 @@ func (l *LSM) loadManifest() error {
 // manifest watermark in segment order, deletes segments the watermark
 // fully covers, and leaves the newest segment open as the write head.
 func (l *LSM) recoverWAL() error {
-	// A pre-segmented store has a single lsm.wal: adopt it as segment 1
-	// so the upgrade is invisible.
-	legacy := filepath.Join(l.dir, lsmWALName)
-	if _, err := os.Stat(legacy); err == nil {
-		ids, lerr := l.listSegments()
-		if lerr != nil {
-			return lerr
-		}
-		if len(ids) > 0 {
-			return fmt.Errorf("%w: both %s and segmented WAL files present (%s)", ErrCorruptRun, lsmWALName, l.dir)
-		}
-		if err := os.Rename(legacy, filepath.Join(l.dir, segmentFileName(1))); err != nil {
-			return fmt.Errorf("jobstore: adopting legacy WAL: %w", err)
-		}
-		if !l.cfg.NoSync {
-			syncDir(l.dir)
-		}
-	}
 	ids, err := l.listSegments()
 	if err != nil {
 		return err

@@ -108,7 +108,7 @@ func FuzzLSMRecover(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, lsmWALName), wal, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, segmentFileName(1)), wal, 0o644); err != nil {
 			t.Skip()
 		}
 		l, err := OpenLSM(LSMConfig{Dir: dir})

@@ -296,21 +296,6 @@ func TestLSMTornTailTruncated(t *testing.T) {
 	mustMiss(t, r, "torn")
 }
 
-func TestLSMSharesDirWithLog(t *testing.T) {
-	// The LSM and the append-only log use disjoint file names: the LSM
-	// opened over a log directory finds an empty store, not corruption.
-	dir := t.TempDir()
-	writeWAL(t, dir, "append-only log record")
-	l, err := OpenLSM(LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if got := dump(t, l); len(got) != 0 {
-		t.Fatalf("LSM sees %d keys in a Log directory", len(got))
-	}
-}
-
 // TestRunSortedIterationProperty pins the primary-iteration invariant:
 // for random entry sets, a written run iterates every entry back in
 // strictly ascending key order from any starting bound.

@@ -9,8 +9,6 @@ package jobstore
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -154,35 +152,6 @@ func TestLSMCheckpointFailureRecovers(t *testing.T) {
 	defer r.Close()
 	mustGet(t, r, "k03", "v2")
 	mustGet(t, r, "k07", "v1")
-}
-
-// TestLSMLegacyWALUpgrade: a store written before WAL segmentation has
-// a single lsm.wal; opening it must adopt that file as segment 1 with
-// nothing lost.
-func TestLSMLegacyWALUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenLSM(LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustApply(t, l, Op{Key: "a", Value: []byte("1")}, Op{Key: "b", Value: []byte("2")})
-	l.Close()
-	if err := os.Rename(filepath.Join(dir, segmentFileName(1)), filepath.Join(dir, lsmWALName)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenLSM(LSMConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	mustGet(t, r, "a", "1")
-	mustGet(t, r, "b", "2")
-	if _, err := os.Stat(filepath.Join(dir, lsmWALName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy %s still present after upgrade (stat err %v)", lsmWALName, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, segmentFileName(1))); err != nil {
-		t.Fatalf("adopted segment missing: %v", err)
-	}
 }
 
 // TestLSMCloseIdempotentAndFailsMutations: Close twice is fine; Apply,

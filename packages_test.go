@@ -8,12 +8,11 @@ import (
 )
 
 // entryPoints are the binaries every internal package must serve: the
-// served stack (server, CLI, store tool) and the paper-reproduction
+// served stack (server and CLI) and the paper-reproduction
 // entry points.
 var entryPoints = []string{
 	"./cmd/cdas-server",
 	"./cmd/cdasctl",
-	"./cmd/cdas-storectl",
 	"./cmd/cdas-experiments",
 	"./cmd/itag",
 	"./cmd/tsa",
