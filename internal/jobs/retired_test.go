@@ -192,3 +192,37 @@ func TestOpenServiceRefusesRetiredFormats(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenServiceEngineMismatch: an append-only log file beside a
+// current store is refused, not ignored. The boot fails naming the log
+// file, leaves every file as it was, and the store boots with its jobs
+// once the log file is moved away.
+func TestOpenServiceEngineMismatch(t *testing.T) {
+	dir := t.TempDir()
+	writeCurrentStore(t, dir)
+	log := filepath.Join(dir, "wal.dat")
+	if err := os.WriteFile(log, []byte(`{"op":"submit"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := dirFiles(t, dir)
+	_, err := OpenService(ServiceConfig{Dir: dir})
+	if !errors.Is(err, jobstore.ErrRetiredFormat) || !strings.Contains(err.Error(), log) {
+		t.Fatalf("open beside a log store: err = %v, want ErrRetiredFormat naming %s", err, log)
+	}
+	if got := dirFiles(t, dir); !reflect.DeepEqual(got, files) {
+		t.Fatal("a refused open changed the directory")
+	}
+	if err := os.Remove(log); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenService(ServiceConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, name := range []string{"a", "b", "feed"} {
+		if _, ok := s.Status(name); !ok {
+			t.Errorf("job %q lost after the log file was moved away", name)
+		}
+	}
+}

@@ -296,6 +296,49 @@ func TestLSMTornTailTruncated(t *testing.T) {
 	mustMiss(t, r, "torn")
 }
 
+// TestLSMSharesDirWithLog: the LSM and the append-only log use disjoint
+// file names, so an open that ignored the log would come up beside its
+// data. OpenLSM refuses a directory holding the log, changes none of the
+// store's files, and opens the store as it was once the log is gone.
+func TestLSMSharesDirWithLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLSM(LSMConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, l, Op{Key: "kept", Value: []byte("yes")})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "wal.dat")
+	if err := os.WriteFile(log, []byte("append-only log record"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLSM(LSMConfig{Dir: dir}); !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("open beside a log: %v, want ErrRetiredFormat", err)
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before)+1 {
+		t.Fatalf("refused open left %d files, want %d", len(after), len(before)+1)
+	}
+	if err := os.Remove(log); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenLSM(LSMConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	mustGet(t, r, "kept", "yes")
+}
+
 // TestRunSortedIterationProperty pins the primary-iteration invariant:
 // for random entry sets, a written run iterates every entry back in
 // strictly ascending key order from any starting bound.
